@@ -220,6 +220,7 @@ FlightRecorder` black box; one on the database's clock is created when
             keep_versions=self.keep_versions,
             ignore_damaged_log=self.ignore_damaged_log,
             metrics=self.registry,
+            flight=self.flight,
         )
         if state is None:
             self._bootstrap()

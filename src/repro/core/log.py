@@ -40,9 +40,14 @@ from repro.storage.interface import FileSystem
 
 MAGIC = 0xA5
 FILLER = 0x00
+_FILLER_BYTE = bytes([FILLER])
 _CRC_BYTES = 4
 #: generous upper bound on header size: magic + two 10-byte varints
 _MAX_HEADER = 21
+#: how far ahead of the scan one ``read_range`` fetches.  A scan costs
+#: one file-system call per window instead of three per entry; 256 KB is
+#: a few hundred entries and bounds the scan's memory.
+READ_AHEAD = 256 * 1024
 
 
 def encode_entry(seq: int, payload: bytes) -> bytes:
@@ -286,6 +291,14 @@ class LogScan:
 
     Sequence-number continuity is enforced in strict mode and relaxed to
     "monotonically consistent after a skip" in ignore mode.
+
+    The file is read through one read-ahead window of :data:`READ_AHEAD`
+    bytes; filler, headers and bodies are sliced out of it.  The window
+    is only a cache of ``read_range``: when fetching one raises
+    ``HardError`` (some page in it is bad, not necessarily one the scan
+    needs next) it is abandoned and that stretch of the file is read
+    range by exact range, so damage is met, judged and skipped exactly
+    as it would be without the window.
     """
 
     def __init__(
@@ -308,6 +321,32 @@ class LogScan:
         self._consumed = False
         #: inside a run of page resyncs through one damaged region
         self._in_damaged_run = False
+        self._window = b""
+        self._window_start = 0
+        #: below this offset a window could not be read: use exact ranges
+        self._exact_until = 0
+
+    def _fetch(self, offset: int, length: int) -> bytes:
+        """What ``fs.read_range(name, offset, length)`` returns or raises.
+
+        ``offset`` is always inside the file as sized when the scan began;
+        bytes appended since are never returned.
+        """
+        end = min(offset + length, self._size)
+        start = self._window_start
+        if offset < start or end > start + len(self._window):
+            if offset < self._exact_until:
+                return self.fs.read_range(self.name, offset, length)
+            try:
+                self._window = self.fs.read_range(
+                    self.name, offset, min(max(length, READ_AHEAD), self._size - offset)
+                )
+            except HardError:
+                self._window = b""
+                self._exact_until = offset + READ_AHEAD
+                return self.fs.read_range(self.name, offset, length)
+            self._window_start = start = offset
+        return self._window[offset - start : end - start]
 
     def _resync_offset(self, offset: int) -> int:
         """The next page boundary, where a padded log's entries start."""
@@ -357,12 +396,12 @@ class LogScan:
         # chunks so padded logs do not cost one call per filler byte.
         while offset < size:
             try:
-                chunk = self.fs.read_range(self.name, offset, 4096)
+                chunk = self._fetch(offset, 4096)
             except HardError:
                 # The big read may have touched a bad page belonging to a
                 # later entry; the byte at `offset` itself may be fine.
                 try:
-                    chunk = self.fs.read_range(self.name, offset, 1)
+                    chunk = self._fetch(offset, 1)
                 except HardError:
                     if self.ignore_damaged:
                         self._note_resync_skip()
@@ -372,9 +411,7 @@ class LogScan:
                     return self._stop(f"unreadable page at offset {offset}")
             if not chunk:
                 return self._stop(None)
-            advance = 0
-            while advance < len(chunk) and chunk[advance] == FILLER:
-                advance += 1
+            advance = len(chunk) - len(chunk.lstrip(_FILLER_BYTE))
             offset += advance
             if advance < len(chunk):
                 if chunk[advance] == MAGIC:
@@ -391,7 +428,7 @@ class LogScan:
             return self._stop(None)  # clean end of log
 
         try:
-            header = self.fs.read_range(self.name, offset, _MAX_HEADER)
+            header = self._fetch(offset, _MAX_HEADER)
         except HardError:
             if self.ignore_damaged:
                 self._note_resync_skip()
@@ -418,9 +455,7 @@ class LogScan:
             return self._stop(f"entry at offset {offset} extends past end of log")
 
         try:
-            body = self.fs.read_range(
-                self.name, offset + 1, reader.offset - 1 + length + _CRC_BYTES
-            )
+            body = self._fetch(offset + 1, reader.offset - 1 + length + _CRC_BYTES)
         except HardError:
             if self.ignore_damaged:
                 self.outcome.damaged_skipped += 1

@@ -44,6 +44,11 @@ from repro.storage.errors import HardError
 from repro.storage.interface import FileSystem
 
 
+#: log entries between two progress reports of a replay: often enough
+#: that a long restart visibly moves, rarely enough to cost nothing
+PROGRESS_EVERY = 1000
+
+
 @dataclass
 class RecoveredState:
     """Everything :class:`~repro.core.database.Database` needs to resume."""
@@ -68,6 +73,7 @@ def recover(
     keep_versions: int = 1,
     ignore_damaged_log: bool = False,
     metrics: MetricsRegistry | None = None,
+    flight=None,
 ) -> RecoveredState | None:
     """Run the restart sequence; ``None`` means no committed state exists.
 
@@ -77,7 +83,12 @@ def recover(
 
     ``metrics`` is an observability registry (distinct from ``registry``,
     the *pickle* type registry): when given, recovery publishes its
-    replay rate and bytes scanned there.
+    replay rate and bytes scanned there, and while a log is being
+    replayed the ``recovery_replay_entries`` / ``recovery_replay_bytes``
+    gauges advance towards ``recovery_log_bytes`` every
+    :data:`PROGRESS_EVERY` entries.  ``flight`` (a
+    :class:`~repro.obs.flight.FlightRecorder`) receives one
+    ``log_replay_progress`` event at the same cadence.
     """
     current = read_current_version(fs)
     if current is None:
@@ -98,6 +109,8 @@ def recover(
             cost_model,
             ignore_damaged_log,
             cause=exc,
+            metrics=metrics,
+            flight=flight,
         )
 
     outcome, replayed, skipped = _replay_log(
@@ -109,6 +122,8 @@ def recover(
         clock,
         cost_model,
         ignore_damaged_log,
+        metrics=metrics,
+        flight=flight,
     )
     if outcome.truncated:
         # Cut the torn or damaged tail off so the writer can resume
@@ -169,6 +184,8 @@ def _fall_back_to_previous(
     cost_model: CostModel,
     ignore_damaged_log: bool,
     cause: Exception,
+    metrics: MetricsRegistry | None = None,
+    flight=None,
 ) -> tuple[object, bool]:
     """Section 4's hard-error recipe using the retained previous pair."""
     previous_candidates = [
@@ -197,6 +214,8 @@ def _fall_back_to_previous(
         clock,
         cost_model,
         ignore_damaged_log,
+        metrics=metrics,
+        flight=flight,
     )
     if outcome.truncated:
         raise RecoveryError(
@@ -215,9 +234,16 @@ def _replay_log(
     clock: Clock,
     cost_model: CostModel,
     ignore_damaged: bool,
+    metrics: MetricsRegistry | None = None,
+    flight=None,
 ):
-    """Apply every committed update in ``name`` to ``root``."""
+    """Apply every committed update in ``name`` to ``root``.
+
+    Progress goes to ``metrics`` and ``flight`` where given; see
+    :func:`_progress_reporter`.
+    """
     scan = LogScan(fs, name, ignore_damaged=ignore_damaged)
+    progress = _progress_reporter(metrics, flight, name, fs.size(name))
     replayed = 0
     for entry in scan:
         cost_model.charge_unpickle(clock, len(entry.payload))
@@ -246,4 +272,41 @@ def _replay_log(
         # modify phase's CPU is charged (plus the unpickle above).
         cost_model.charge_modify(clock)
         replayed += 1
+        if replayed % PROGRESS_EVERY == 0:
+            progress(replayed, entry.offset + entry.length)
+    progress(replayed, None)
     return scan.outcome, replayed, scan.outcome.damaged_skipped
+
+
+def _progress_reporter(metrics, flight, name: str, log_bytes: int):
+    """``report(entries, bytes_done)`` for one replay of ``name``.
+
+    Each report sets the gauges ``recovery_replay_entries`` and
+    ``recovery_replay_bytes`` (against ``recovery_log_bytes``, set here)
+    and records a ``log_replay_progress`` flight event, so an operator
+    asking "is restart stuck?" sees the numbers move.  ``bytes_done=None``
+    is the closing report: the whole file has been scanned, whatever was
+    skipped, so the gauges meet; it records no event.
+    """
+    if metrics is not None:
+        entries_gauge = metrics.gauge(
+            "recovery_replay_entries", "Log entries applied by the current replay."
+        )
+        bytes_gauge = metrics.gauge(
+            "recovery_replay_bytes", "Log bytes the current replay has consumed."
+        )
+        metrics.gauge(
+            "recovery_log_bytes", "Size of the log being (or last) replayed."
+        ).set(log_bytes)
+
+    def report(entries: int, bytes_done: int | None) -> None:
+        if metrics is not None:
+            entries_gauge.set(entries)
+            bytes_gauge.set(log_bytes if bytes_done is None else bytes_done)
+        if flight is not None and bytes_done is not None:
+            flight.record(
+                "log_replay_progress",
+                file=name, entries=entries, bytes=bytes_done, log_bytes=log_bytes,
+            )
+
+    return report

@@ -9,6 +9,9 @@ Safety: the input is treated as untrusted.  Every length is bounds-checked
 against the remaining input, reference indices must point backwards, and
 record class names must already be present in the type registry — decoding
 never imports modules or calls constructors, only ``cls.__new__``.
+
+Damage never escapes as a raw ``IndexError``, ``UnicodeDecodeError`` or
+``TypeError``: every failure is a :class:`~repro.pickles.errors.PickleError`.
 """
 
 from __future__ import annotations
@@ -40,9 +43,25 @@ from repro.pickles.wire import (
     WireReader,
 )
 
+#: tags whose first field is a varint: an integer, a swizzle index, a
+#: string length or an element count
+_VARINT_LED = frozenset({
+    TAG_INT, TAG_REF, TAG_STR, TAG_BYTES,
+    TAG_LIST, TAG_TUPLE, TAG_SET, TAG_FROZENSET, TAG_DICT,
+})
+_set_field = object.__setattr__
+
 
 class PickleReader:
-    """One decoding pass; use :func:`pickle_read` unless streaming."""
+    """One decoding pass; use :func:`pickle_read` unless streaming.
+
+    Successive :meth:`read` calls share one swizzle table, mirroring a
+    :class:`~repro.pickles.encode.PickleWriter` written to several times.
+    """
+
+    __slots__ = (
+        "_data", "_size", "_pos", "_table", "_registry", "_classes", "_max_depth",
+    )
 
     def __init__(
         self,
@@ -51,133 +70,153 @@ class PickleReader:
         max_depth: int = MAX_DEPTH,
     ) -> None:
         self._registry = registry if registry is not None else DEFAULT_REGISTRY
-        self._reader = WireReader(data)
+        self._data = data
+        self._size = len(data)
+        self._pos = 0
         self._table: list[object] = []
         self._max_depth = max_depth
-        self._depth = 0
+        # wire name -> class, asked of the registry once per pass
+        self._classes: dict[str, type] = {}
 
     def read(self) -> object:
-        """Decode the next value from the buffer."""
-        return self._decode()
+        """Decode the next value from the buffer.
+
+        Damage that surfaces as a bad UTF-8 body or an unhashable dict
+        key or set element is reported as :class:`MalformedPickle`, like
+        every other structural fault.
+        """
+        try:
+            return self._decode(1)
+        except (UnicodeDecodeError, TypeError) as exc:
+            raise MalformedPickle(f"undecodable value: {exc}") from exc
 
     def offset(self) -> int:
         """Current position in the buffer (for streamed log replay)."""
-        return self._reader.offset
+        return self._pos
 
     def at_end(self) -> bool:
-        return self._reader.remaining() == 0
+        """True once every byte of the buffer has been consumed."""
+        return self._pos == self._size
 
     # -- internals -----------------------------------------------------------
 
-    def _decode(self) -> object:
-        self._depth += 1
-        if self._depth > self._max_depth:
+    def _decode(self, depth: int) -> object:
+        # The cursor is worked on as a local and stored back before every
+        # return and every recursive call.
+        if depth > self._max_depth:
             raise NestingTooDeep(self._max_depth)
-        try:
-            return self._decode_inner()
-        finally:
-            self._depth -= 1
-
-    def _decode_inner(self) -> object:
-        reader = self._reader
-        tag = reader.read_byte()
-        if tag == TAG_NONE:
-            return None
-        if tag == TAG_FALSE:
-            return False
-        if tag == TAG_TRUE:
-            return True
+        data = self._data
+        size = self._size
+        pos = self._pos
+        if pos >= size:
+            raise TruncatedPickle(pos, "expected a tag byte")
+        tag = data[pos]
+        pos += 1
+        if tag == TAG_RECORD:
+            # Reserve the swizzle slot first: children may refer back to
+            # the record (cyclic data structures).
+            table = self._table
+            slot = len(table)
+            table.append(None)
+            self._pos = pos
+            name = self._decode(depth + 1)
+            if type(name) is not str:
+                raise MalformedPickle(
+                    f"record class name must be a string, got {type(name).__name__}"
+                )
+            cls = self._classes.get(name)
+            if cls is None:
+                cls = self._registry.resolve(name)
+                if cls is None:
+                    raise UnknownRecordClass(name)
+                self._classes[name] = cls
+            instance = table[slot] = cls.__new__(cls)
+            pos = self._pos  # at the field count
+        elif tag not in _VARINT_LED:
+            self._pos = pos
+            if tag == TAG_FALSE:
+                return False
+            if tag == TAG_NONE:
+                return None
+            if tag == TAG_TRUE:
+                return True
+            if tag == TAG_FLOAT:
+                wire = WireReader(data, pos)
+                value = wire.read_float()
+                self._pos = wire.offset
+                return value
+            raise UnknownTypeTag(tag, pos - 1)
+        # A varint: a length, a count, an integer or a swizzle index.
+        # One-byte ones (nearly all of them) are read in line.
+        if pos < size and data[pos] < 0x80:
+            number = data[pos]
+            pos += 1
+        else:
+            wire = WireReader(data, pos)
+            number = wire.read_varint()
+            pos = wire.offset
+        if tag == TAG_REF:
+            self._pos = pos
+            table = self._table
+            if number >= len(table):
+                raise MalformedPickle(
+                    f"forward reference to swizzle index {number} "
+                    f"(table has {len(table)} entries) at offset {pos}"
+                )
+            return table[number]
         if tag == TAG_INT:
-            return reader.read_signed()
-        if tag == TAG_FLOAT:
-            return reader.read_float()
+            self._pos = pos
+            return (number >> 1) if not number & 1 else -((number + 1) >> 1)
+        # Everything else declared a length, which can never exceed the
+        # bytes remaining: string bodies cost one byte per byte, container
+        # elements at least one byte each.  This bounds memory allocation
+        # on corrupt input.
+        if number > size - pos:
+            raise TruncatedPickle(
+                pos, f"declared length {number} exceeds remaining input"
+            )
         if tag == TAG_STR or tag == TAG_BYTES:
-            length = self._checked_length(reader.read_varint())
-            raw = reader.read_bytes(length)
-            value: object = raw.decode("utf-8") if tag == TAG_STR else raw
+            self._pos = end = pos + number
+            raw = data[pos:end]
+            value = raw.decode("utf-8") if tag == TAG_STR else raw
             self._table.append(value)
             return value
-        if tag == TAG_REF:
-            index = reader.read_varint()
-            if index >= len(self._table):
-                raise MalformedPickle(
-                    f"forward reference to swizzle index {index} "
-                    f"(table has {len(self._table)} entries) "
-                    f"at offset {reader.offset}"
-                )
-            return self._table[index]
-        if tag == TAG_LIST:
-            result: list = []
-            self._table.append(result)
-            count = self._checked_length(reader.read_varint())
-            for _ in range(count):
-                result.append(self._decode())
-            return result
+        self._pos = pos
+        depth += 1
+        decode = self._decode
+        if tag == TAG_RECORD:
+            for _ in range(number):
+                field = decode(depth)
+                if type(field) is not str:
+                    raise MalformedPickle(
+                        f"record field name must be a string, got {type(field).__name__}"
+                    )
+                _set_field(instance, field, decode(depth))
+            return instance
         if tag == TAG_DICT:
             mapping: dict = {}
             self._table.append(mapping)
-            count = self._checked_length(reader.read_varint())
-            for _ in range(count):
-                key = self._decode()
-                mapping[key] = self._decode()
+            for _ in range(number):
+                key = decode(depth)
+                mapping[key] = decode(depth)
             return mapping
+        if tag == TAG_LIST:
+            result: list = []
+            self._table.append(result)
+            for _ in range(number):
+                result.append(decode(depth))
+            return result
         if tag == TAG_SET:
             collection: set = set()
             self._table.append(collection)
-            count = self._checked_length(reader.read_varint())
-            for _ in range(count):
-                collection.add(self._decode())
+            for _ in range(number):
+                collection.add(decode(depth))
             return collection
-        if tag == TAG_TUPLE:
-            count = self._checked_length(reader.read_varint())
-            items = tuple(self._decode() for _ in range(count))
-            self._table.append(items)
-            return items
-        if tag == TAG_FROZENSET:
-            count = self._checked_length(reader.read_varint())
-            frozen = frozenset(self._decode() for _ in range(count))
-            self._table.append(frozen)
-            return frozen
-        if tag == TAG_RECORD:
-            return self._decode_record()
-        raise UnknownTypeTag(tag, reader.offset - 1)
-
-    def _decode_record(self) -> object:
-        # Reserve the swizzle slot first: children may refer back to the
-        # record (cyclic data structures).
-        slot = len(self._table)
-        self._table.append(None)
-        name = self._decode()
-        if not isinstance(name, str):
-            raise MalformedPickle(
-                f"record class name must be a string, got {type(name).__name__}"
-            )
-        cls = self._registry.class_for(name)
-        if cls is None:
-            raise UnknownRecordClass(name)
-        instance = cls.__new__(cls)
-        self._table[slot] = instance
-        count = self._checked_length(self._reader.read_varint())
-        for _ in range(count):
-            field = self._decode()
-            if not isinstance(field, str):
-                raise MalformedPickle(
-                    f"record field name must be a string, got {type(field).__name__}"
-                )
-            value = self._decode()
-            object.__setattr__(instance, field, value)
-        return instance
-
-    def _checked_length(self, length: int) -> int:
-        # A declared length can never exceed the bytes remaining: string
-        # bodies cost one byte per byte, container elements at least one
-        # byte each.  This bounds memory allocation on corrupt input.
-        if length > self._reader.remaining():
-            raise TruncatedPickle(
-                self._reader.offset,
-                f"declared length {length} exceeds remaining input",
-            )
-        return length
+        # Immutable containers enter the table after their children.
+        items = [decode(depth) for _ in range(number)]
+        frozen = tuple(items) if tag == TAG_TUPLE else frozenset(items)
+        self._table.append(frozen)
+        return frozen
 
 
 def pickle_read(data: bytes, registry: TypeRegistry | None = None) -> object:

@@ -22,10 +22,6 @@ naming the same fields costs the field names once.
 from __future__ import annotations
 
 from repro.pickles.errors import NestingTooDeep, UnpickleableType
-
-#: default nesting bound; far above any sane database structure, far
-#: below Python's recursion limit so the error is ours, not the VM's.
-MAX_DEPTH = 200
 from repro.pickles.registry import DEFAULT_REGISTRY, TypeRegistry
 from repro.pickles.wire import (
     TAG_BYTES,
@@ -43,13 +39,25 @@ from repro.pickles.wire import (
     TAG_TRUE,
     TAG_TUPLE,
     encode_float,
-    encode_signed,
     encode_varint,
 )
 
+#: default nesting bound; far above any sane database structure, far
+#: below Python's recursion limit so the error is ours, not the VM's.
+MAX_DEPTH = 200
+
 
 class PickleWriter:
-    """One encoding pass; use :func:`pickle_write` unless streaming."""
+    """One encoding pass; use :func:`pickle_write` unless streaming.
+
+    Successive :meth:`write` calls share one swizzle table, so a value
+    written twice costs a back reference the second time.
+    """
+
+    __slots__ = (
+        "_out", "_append", "_registry", "_max_depth", "_by_id", "_strings",
+        "_blobs", "_pinned", "_described", "_count",
+    )
 
     def __init__(
         self,
@@ -58,139 +66,140 @@ class PickleWriter:
     ) -> None:
         self._registry = registry if registry is not None else DEFAULT_REGISTRY
         self._max_depth = max_depth
-        self._depth = 0
         self._out = bytearray()
-        # Swizzle table: object identity (mutables) or value (str/bytes)
-        # to back-reference index.  Indices count all table entries in
-        # encounter order, mirrored exactly by the decoder.
+        self._append = self._out.append
+        # Swizzle table: heap objects by identity, str and bytes by value,
+        # sharing one index counter.  It counts every entry in encounter
+        # order and is mirrored exactly by the decoder.
         self._by_id: dict[int, int] = {}
-        self._by_value: dict[tuple[type, object], int] = {}
-        self._next_index = 0
+        self._strings: dict[str, int] = {}
+        self._blobs: dict[bytes, int] = {}
+        self._count = 0
         # Objects kept alive so ids stay unique during the pass.
         self._pinned: list[object] = []
+        # class -> (wire name, fields), asked of the registry once per pass
+        self._described: dict[type, tuple] = {}
 
     def write(self, value: object) -> None:
         """Append the pickle of ``value`` to the output buffer."""
-        self._encode(value)
+        self._encode(value, 1)
 
     def getvalue(self) -> bytes:
+        """Everything written so far."""
         return bytes(self._out)
 
-    # -- internals -----------------------------------------------------------
-
-    def _assign_index(self, value: object, by_value: bool) -> None:
-        index = self._next_index
-        self._next_index += 1
-        if by_value:
-            self._by_value[(type(value), value)] = index
-        else:
-            self._by_id[id(value)] = index
-            self._pinned.append(value)
-
-    def _emit_ref(self, index: int) -> None:
-        self._out.append(TAG_REF)
-        encode_varint(index, self._out)
-
-    def _encode(self, value: object) -> None:
-        self._depth += 1
-        if self._depth > self._max_depth:
+    def _encode(self, value: object, depth: int) -> None:
+        if depth > self._max_depth:
             raise NestingTooDeep(self._max_depth)
-        try:
-            self._encode_inner(value)
-        finally:
-            self._depth -= 1
-
-    def _encode_inner(self, value: object) -> None:
-        out = self._out
-        if value is None:
-            out.append(TAG_NONE)
-            return
-        if value is False:
-            out.append(TAG_FALSE)
-            return
-        if value is True:
-            out.append(TAG_TRUE)
-            return
         kind = type(value)
-        if kind is int:
-            out.append(TAG_INT)
-            encode_signed(value, out)
-            return
-        if kind is float:
-            out.append(TAG_FLOAT)
-            encode_float(value, out)
-            return
-        if kind is str or kind is bytes:
-            key = (kind, value)
-            index = self._by_value.get(key)
-            if index is not None:
-                self._emit_ref(index)
+        append = self._append
+        # Leaves, most frequent first.
+        if kind is str:
+            index = self._strings.get(value)
+            if index is None:
+                self._strings[value] = self._count
+                self._count += 1
+                raw = value.encode("utf-8")
+                append(TAG_STR)
+                if len(raw) < 0x80:
+                    append(len(raw))
+                else:
+                    encode_varint(len(raw), self._out)
+                self._out += raw
                 return
-            raw = value.encode("utf-8") if kind is str else value
-            out.append(TAG_STR if kind is str else TAG_BYTES)
-            encode_varint(len(raw), out)
-            out.extend(raw)
-            self._assign_index(value, by_value=True)
+        elif kind is int:
+            append(TAG_INT)
+            zigzag = value << 1 if value >= 0 else ((-value) << 1) - 1
+            if zigzag < 0x80:
+                append(zigzag)
+            else:
+                encode_varint(zigzag, self._out)
             return
-        # Heap objects: shared structure via identity.
-        index = self._by_id.get(id(value))
-        if index is not None:
-            self._emit_ref(index)
+        elif value is None:
+            append(TAG_NONE)
             return
-        if kind is list:
-            out.append(TAG_LIST)
-            self._assign_index(value, by_value=False)
-            encode_varint(len(value), out)
-            for item in value:
-                self._encode(item)
+        elif value is False:
+            append(TAG_FALSE)
             return
-        if kind is dict:
-            out.append(TAG_DICT)
-            self._assign_index(value, by_value=False)
-            encode_varint(len(value), out)
-            for key, item in value.items():
-                self._encode(key)
-                self._encode(item)
+        elif value is True:
+            append(TAG_TRUE)
             return
-        if kind is set:
-            out.append(TAG_SET)
-            self._assign_index(value, by_value=False)
-            encode_varint(len(value), out)
-            for item in _stable_set_order(value):
-                self._encode(item)
+        elif kind is float:
+            append(TAG_FLOAT)
+            encode_float(value, self._out)
             return
-        if kind is tuple:
-            out.append(TAG_TUPLE)
-            encode_varint(len(value), out)
-            for item in value:
-                self._encode(item)
-            self._assign_index(value, by_value=False)
-            return
-        if kind is frozenset:
-            out.append(TAG_FROZENSET)
-            encode_varint(len(value), out)
-            for item in _stable_set_order(value):
-                self._encode(item)
-            self._assign_index(value, by_value=False)
-            return
-        name = self._registry.name_for(kind)
-        if name is None:
-            raise UnpickleableType(value)
-        out.append(TAG_RECORD)
-        self._assign_index(value, by_value=False)
-        self._encode(name)
-        fields = self._registry.fields_for(kind)
-        if fields is None:
-            items = vars(value)
-            encode_varint(len(items), out)
-            for field, item in items.items():
-                self._encode(field)
-                self._encode(item)
+        elif kind is bytes:
+            index = self._blobs.get(value)
+            if index is None:
+                self._blobs[value] = self._count
+                self._count += 1
+                append(TAG_BYTES)
+                encode_varint(len(value), self._out)
+                self._out += value
+                return
         else:
-            encode_varint(len(fields), out)
-            for field in fields:
-                self._encode(field)
-                self._encode(getattr(value, field))
+            # Heap objects: shared structure via identity.
+            index = self._by_id.get(id(value))
+        if index is not None:
+            append(TAG_REF)
+            if index < 0x80:
+                append(index)
+            else:
+                encode_varint(index, self._out)
+            return
+        # Containers.  Mutable ones enter the table before their children
+        # (cycles terminate); immutable ones after.
+        depth += 1
+        encode = self._encode
+        if kind is dict:
+            self._by_id[id(value)] = self._count
+            self._count += 1
+            self._pinned.append(value)
+            append(TAG_DICT)
+            encode_varint(len(value), self._out)
+            for key, item in value.items():
+                encode(key, depth)
+                encode(item, depth)
+        elif kind is list or kind is set:
+            self._by_id[id(value)] = self._count
+            self._count += 1
+            self._pinned.append(value)
+            append(TAG_LIST if kind is list else TAG_SET)
+            encode_varint(len(value), self._out)
+            for item in value if kind is list else _stable_set_order(value):
+                encode(item, depth)
+        elif kind is tuple or kind is frozenset:
+            append(TAG_TUPLE if kind is tuple else TAG_FROZENSET)
+            encode_varint(len(value), self._out)
+            for item in value if kind is tuple else _stable_set_order(value):
+                encode(item, depth)
+            self._by_id[id(value)] = self._count
+            self._count += 1
+            self._pinned.append(value)
+        else:
+            described = self._described.get(kind)
+            if described is None:
+                described = self._registry.describe(kind)
+                if described is None:
+                    raise UnpickleableType(value)
+                self._described[kind] = described
+            name, fields = described
+            self._by_id[id(value)] = self._count
+            self._count += 1
+            self._pinned.append(value)
+            append(TAG_RECORD)
+            encode(name, depth)
+            if fields is None:
+                attributes = vars(value)
+                encode_varint(len(attributes), self._out)
+                for field, item in attributes.items():
+                    encode(field, depth)
+                    encode(item, depth)
+            else:
+                encode_varint(len(fields), self._out)
+                for field in fields:
+                    encode(field, depth)
+                    encode(getattr(value, field), depth)
 
 
 def _stable_set_order(items: set | frozenset) -> list:

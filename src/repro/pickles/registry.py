@@ -21,12 +21,19 @@ from repro.pickles.errors import RegistryError
 
 
 class TypeRegistry:
-    """Bidirectional mapping between classes and stable wire names."""
+    """Bidirectional mapping between classes and stable wire names.
+
+    Lookups (:meth:`describe`, :meth:`resolve`) are single dictionary
+    reads and take no lock; the codec makes one per class per pass and
+    keeps the answer for the rest of the pass.  Registrations are
+    serialised against each other.  Removing a class (:meth:`unregister`,
+    :meth:`clear`) while another thread is mid-pass is a non-goal: that
+    pass finishes with the description it already holds.
+    """
 
     def __init__(self) -> None:
         self._by_name: dict[str, type] = {}
-        self._by_class: dict[type, str] = {}
-        self._fields: dict[type, tuple[str, ...] | None] = {}
+        self._by_class: dict[type, tuple[str, tuple[str, ...] | None]] = {}
         self._lock = threading.Lock()
 
     def register(
@@ -52,36 +59,37 @@ class TypeRegistry:
                     f"wire name {wire_name!r} is already registered "
                     f"to {existing.__name__}"
                 )
-            previous_name = self._by_class.get(cls)
-            if previous_name is not None and previous_name != wire_name:
+            previous = self._by_class.get(cls)
+            if previous is not None and previous[0] != wire_name:
                 raise RegistryError(
                     f"class {cls.__name__} is already registered "
-                    f"as {previous_name!r}"
+                    f"as {previous[0]!r}"
                 )
             self._by_name[wire_name] = cls
-            self._by_class[cls] = wire_name
-            self._fields[cls] = tuple(fields) if fields is not None else None
+            self._by_class[cls] = (
+                wire_name,
+                tuple(fields) if fields is not None else None,
+            )
         return cls
 
     def unregister(self, cls: type) -> None:
+        """Forget ``cls``; not safe against a pass running concurrently."""
         with self._lock:
-            name = self._by_class.pop(cls, None)
-            if name is None:
+            described = self._by_class.pop(cls, None)
+            if described is None:
                 raise RegistryError(f"class {cls.__name__} is not registered")
-            del self._by_name[name]
-            del self._fields[cls]
+            del self._by_name[described[0]]
 
-    def name_for(self, cls: type) -> str | None:
-        with self._lock:
-            return self._by_class.get(cls)
+    def describe(self, cls: type) -> tuple[str, tuple[str, ...] | None] | None:
+        """``(wire name, fields)`` for a registered class, else ``None``.
 
-    def class_for(self, name: str) -> type | None:
-        with self._lock:
-            return self._by_name.get(name)
+        ``fields`` is ``None`` when the record carries ``vars(instance)``.
+        """
+        return self._by_class.get(cls)
 
-    def fields_for(self, cls: type) -> tuple[str, ...] | None:
-        with self._lock:
-            return self._fields.get(cls)
+    def resolve(self, name: str) -> type | None:
+        """The class registered under wire name ``name``, else ``None``."""
+        return self._by_name.get(name)
 
     def registered_names(self) -> list[str]:
         with self._lock:
@@ -92,7 +100,6 @@ class TypeRegistry:
         with self._lock:
             self._by_name.clear()
             self._by_class.clear()
-            self._fields.clear()
 
 
 #: The process-wide default registry, used when none is passed explicitly.

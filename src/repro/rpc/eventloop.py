@@ -44,6 +44,7 @@ import time
 from collections import deque
 
 from repro.rpc.server import RpcServer
+from repro.rpc.transport import disable_nagle
 
 logger = logging.getLogger("repro.rpc")
 
@@ -363,6 +364,7 @@ class EventLoopServer:
                         pass
                 return
             sock.setblocking(False)
+            disable_nagle(sock)
             conn = _Connection(sock)
             self._connections[conn.fd] = conn
             self._selector.register(sock, selectors.EVENT_READ, conn)

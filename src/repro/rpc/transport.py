@@ -101,6 +101,19 @@ _FRAME = struct.Struct(">I")
 _MAX_FRAME = 64 * 1024 * 1024
 
 
+def disable_nagle(sock: socket.socket) -> None:
+    """Set ``TCP_NODELAY``: frames are small and already whole.
+
+    Every frame goes out in one ``sendall``, so Nagle's algorithm has
+    nothing to coalesce; left on, a pipelining client's second small
+    frame waits for the first one's (possibly delayed) ACK.
+    """
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    except OSError:
+        pass  # the peer is already gone; the next read or write says so
+
+
 def _send_frame(sock: socket.socket, payload: bytes) -> None:
     sock.sendall(_FRAME.pack(len(payload)) + payload)
 
@@ -210,6 +223,7 @@ class TcpServerThread:
                 if not self._stopping.is_set():
                     self._note_listener_failure(exc)
                 return  # listener closed
+            disable_nagle(conn)
             with self._state_lock:
                 if self._stopping.is_set():
                     conn.close()
@@ -322,6 +336,7 @@ class TcpTransport(Transport):
             self._sock = socket.create_connection(
                 (self.host, self.port), timeout=self.timeout
             )
+            disable_nagle(self._sock)
         except OSError as exc:
             raise TransportError(
                 f"cannot connect to {self.host}:{self.port}: {exc}",

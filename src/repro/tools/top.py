@@ -71,6 +71,9 @@ def render(
         f"  clock {float(status.get('clock', 0.0)):.1f}s",
         "",
     ]
+    replay = _replay_progress(flat)
+    if replay:
+        lines[1:1] = [replay]
 
     counters = [(k, e) for k, e in sorted(flat.items()) if e["kind"] == "counter"]
     if counters:
@@ -107,6 +110,19 @@ def render(
         lines.append("")
 
     return "\n".join(lines)
+
+
+def _replay_progress(flat: dict[str, dict]) -> str | None:
+    """The log-replay progress line, while a replay is under way."""
+    done = flat.get("recovery_replay_bytes", {}).get("value")
+    total = flat.get("recovery_log_bytes", {}).get("value")
+    if done is None or not total or done >= total:
+        return None
+    entries = flat.get("recovery_replay_entries", {}).get("value", 0)
+    return (
+        f"replaying log: {done / total:.0%}"
+        f"  ({done:.0f} of {total:.0f} B, {entries:.0f} entries applied)"
+    )
 
 
 def _cluster_totals(health: dict) -> dict:

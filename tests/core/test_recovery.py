@@ -179,3 +179,34 @@ class TestRestartTiming:
             times[entries] = clock.now() - before
         ratio = times[40] / times[10]
         assert 2.5 < ratio < 5.0  # ~4x entries → ~4x time (minus constant)
+
+
+class TestReplayProgress:
+    def test_gauges_and_flight_events_at_the_stated_cadence(
+        self, fs, kv_ops, monkeypatch
+    ):
+        """"Is restart stuck?": replay publishes how far it has got."""
+        from repro.core import recovery
+
+        monkeypatch.setattr(recovery, "PROGRESS_EVERY", 4)
+        db = build(fs, kv_ops)
+        for i in range(10):
+            db.update("set", f"k{i}", i)
+        fs.crash()
+        db2 = build(fs, kv_ops)
+        gauges = {
+            name: family["series"][0]["value"]
+            for name, family in db2.registry.snapshot().items()
+            if name.startswith("recovery_")
+        }
+        log_bytes = fs.size("logfile1")
+        assert gauges == {
+            "recovery_log_bytes": log_bytes,
+            "recovery_replay_bytes": log_bytes,  # the closing report
+            "recovery_replay_entries": 10,
+        }
+        events = [e["fields"] for e in db2.flight.events("log_replay_progress")]
+        assert [e["entries"] for e in events] == [4, 8]  # every 4th, no more
+        # the end of the 4th and 8th entries, each alone on its 512-byte page
+        assert [-(-e["bytes"] // 512) for e in events] == [4, 8]
+        assert all(e["log_bytes"] == log_bytes for e in events)

@@ -107,6 +107,17 @@ class TestTopConsole:
         assert "5.0" in frame  # 5 increments over 1 s
 
 
+    def test_replay_progress_line_only_while_below_one(self):
+        registry = MetricsRegistry()
+        registry.gauge("recovery_log_bytes").set(2000)
+        registry.gauge("recovery_replay_bytes").set(500)
+        registry.gauge("recovery_replay_entries").set(7)
+        frame = render({"replica_id": "r"}, registry.snapshot())
+        assert "replaying log: 25%" in frame and "7 entries" in frame
+        registry.gauge("recovery_replay_bytes").set(2000)
+        assert "replaying log" not in render({"replica_id": "r"}, registry.snapshot())
+
+
 class TestSmokeModule:
     def test_smoke_passes_against_a_live_node(self):
         out = io.StringIO()

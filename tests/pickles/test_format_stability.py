@@ -124,3 +124,82 @@ class TestVersionFileFormat:
         assert (tmp_path / "version").read_bytes() == b"1"
         db.checkpoint()
         assert (tmp_path / "version").read_bytes() == b"2"
+
+
+# -- byte-for-byte digests ---------------------------------------------------
+#
+# SHA-256 of ``pickle_write`` output, written once by the encoder of the
+# commit *before* the single-pass codec (PR 11's tree) and committed as
+# constants: the rewrite may change how fast these bytes are produced,
+# never one of the bytes.
+
+
+def seeded_root(names: int = 300) -> dict:
+    """A name-server root built by seeded binds, unbinds and subtree writes."""
+    import random
+
+    from repro.nameserver import NAMESERVER_OPS, new_root
+
+    rng = random.Random(1987)
+    root = new_root("golden")
+    apply = NAMESERVER_OPS.get("ns_local").apply
+    paths = []
+    for n in range(names):
+        path = (f"org{rng.randrange(12):02d}", rng.choice(("hosts", "users")), f"n{n}")
+        paths.append(path)
+        value = {
+            "owner": rng.choice(("birrell", "jones", "wobber")),
+            "created": rng.randrange(-(2**40), 2**40),
+            "data": f"{'/'.join(path)}|" * rng.randrange(1, 30),
+            "weight": rng.random(),
+            "blob": bytes(rng.randrange(256) for _ in range(rng.randrange(5))),
+            "tags": {rng.randrange(5) for _ in range(3)},
+            "flags": (n % 2 == 0, None, frozenset({path[1], "x"})),
+        }
+        apply(root, "bind", (path, value, False))
+    for path in rng.sample(paths, names // 10):
+        apply(root, "unbind", (path,))
+    apply(root, "write_subtree", (("org00", "hosts"), [(("a",), 1), (("b", "c"), [2, 3])]))
+    return root
+
+
+def one_of_each_tag() -> list:
+    """One value per wire tag, records and back references included."""
+    from repro.nameserver.tree import Leaf
+
+    shared = ["shared", b"bytes"]
+    cycle: dict = {"self": None}
+    cycle["self"] = cycle
+    return [
+        None, False, True, 0, -1, 63, 64, -(2**70), 1.5, -0.0, "", "héllo", "x" * 200,
+        b"", b"\x00\xff", [], [1, [2]], (), (1, "a"), set(), {3, 1, 2},
+        frozenset(), frozenset({"b", "a"}), {}, {"k": {"k": "k"}},
+        Leaf({"v": 1}, 7, "replica-a"), Leaf(None, 8, "replica-a", deleted=True),
+        shared, shared, cycle,
+    ]
+
+
+def log_entry() -> tuple:
+    """One bind as ``Database.update`` frames it for the log."""
+    path = ("org03", "hosts", "n42")
+    value = {"owner": "wobber", "created": 3, "data": "org03/hosts/n42#3|" * 20}
+    return ("ns_local", ("bind", (path, value, False)), {})
+
+
+#: label -> (builder of the value, SHA-256 of its pickle under the previous encoder)
+GOLDEN_SHA256 = {
+    "root": (seeded_root, "9960a2d11be6f65e8e39a060131c7009253619f653f50cd782aa26117ac26485"),
+    "entry": (log_entry, "048687626ad89b18abdf2179e9195bd88c3e756b2fadb767b7c2b7d4a8bb1fd7"),
+    "tags": (one_of_each_tag, "c39bbec543684c106e2e0ca890320605c825f474885b496673c309a8e8cab238"),
+}
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("label", sorted(GOLDEN_SHA256))
+    def test_bytes_match_the_previous_encoder(self, label):
+        import hashlib
+
+        build, expected = GOLDEN_SHA256[label]
+        blob = pickle_write(build())
+        assert hashlib.sha256(blob).hexdigest() == expected
+        assert pickle_write(pickle_read(blob)) == blob  # and they read back

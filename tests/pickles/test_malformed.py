@@ -73,21 +73,35 @@ class TestCorruption:
         with pytest.raises(MalformedPickle):
             pickle_read(bytes(blob), TypeRegistry())
 
-    def test_bitflip_fuzz_never_crashes(self):
-        """Any single-byte corruption either decodes or raises PickleError."""
-        value = {"name": ["srv", 1, (2.5, b"blob")], "n": 10**12}
-        blob = bytearray(pickle_write(value))
+    def test_every_truncation_and_bit_flip_is_a_typed_error(self):
+        """Damage decodes or raises ``PickleError`` — nothing else, ever.
+
+        Not ``IndexError`` from a cut buffer, ``UnicodeDecodeError`` from a
+        bad string body, ``TypeError`` from a list turned dict key, nor
+        ``RecursionError``: recovery and fsck catch one family.
+        """
+        from repro.nameserver.tree import Leaf
+
+        shared = ["srv", 1, (2.5, b"blob")]
+        value = {
+            "name": shared,
+            "again": shared,
+            "n": -(10**12),
+            "flags": (None, True, False, frozenset({"a"}), {1, 2}),
+            "leaf": Leaf({"k": "é" * 3}, 300, "replica", deleted=True),
+        }
+        blob = pickle_write(value)
+        for cut in range(len(blob)):
+            with pytest.raises(PickleError):
+                pickle_read(blob[:cut])
         for position in range(len(blob)):
-            corrupted = bytearray(blob)
-            corrupted[position] ^= 0x5A
-            try:
-                pickle_read(bytes(corrupted))
-            except PickleError:
-                pass
-            except UnicodeDecodeError:
-                pass  # corrupt utf-8 body; acceptable typed failure
-            except (OverflowError, ValueError):
-                pass  # e.g. corrupt float/int bounds
+            for bit in range(8):
+                corrupted = bytearray(blob)
+                corrupted[position] ^= 1 << bit
+                try:
+                    pickle_read(bytes(corrupted))
+                except PickleError:
+                    pass
 
 
 class TestVarints:

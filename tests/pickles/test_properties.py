@@ -6,7 +6,9 @@ Invariants:
 * encoding is deterministic: equal values (by our canonical comparison)
   produce identical bytes when built identically;
 * types survive exactly (no bool→int, tuple→list, etc.);
-* no prefix of a valid pickle decodes to a value *and* consumes all input.
+* no prefix of a valid pickle decodes to a value *and* consumes all input;
+* sharing and cycles among mutable containers survive: the copy's object
+  graph is isomorphic to the original's.
 """
 
 from __future__ import annotations
@@ -108,9 +110,7 @@ def test_strict_prefixes_never_decode_cleanly(value):
         try:
             pickle_read(blob[:cut])
         except PickleError:
-            continue
-        except UnicodeDecodeError:
-            continue
+            continue  # and nothing else: a cut string body is malformed, not raw
         raise AssertionError(f"prefix of length {cut} decoded cleanly")
 
 
@@ -124,3 +124,39 @@ def test_shared_substructure_roundtrips(names):
     assert result[0] is result[1]
     assert result[2][0] is result[0]
     assert result[0] == names
+
+
+@st.composite
+def object_graphs(draw):
+    """Lists and dicts wired to each other at random: shared, cyclic, self-referring."""
+    nodes = [[] if draw(st.booleans()) else {} for _ in range(draw(st.integers(1, 6)))]
+    for node in nodes:
+        for slot in range(draw(st.integers(0, 4))):
+            target = draw(st.one_of(st.sampled_from(nodes), atoms))
+            if isinstance(node, list):
+                node.append(target)
+            else:
+                node[f"slot{slot}"] = target
+    return nodes
+
+
+def isomorphic(a: object, b: object, seen: dict[int, int]) -> bool:
+    """Same values, and ``a``'s containers map one-to-one onto ``b``'s by identity."""
+    if not isinstance(a, (list, dict)):
+        return equivalent(a, b)
+    if type(a) is not type(b) or len(a) != len(b):
+        return False
+    if id(a) in seen:
+        return seen[id(a)] == id(b)
+    if id(b) in seen.values():
+        return False  # two originals collapsed into one copy
+    seen[id(a)] = id(b)
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(isomorphic(a[k], b[k], seen) for k in a)
+    return all(isomorphic(x, y, seen) for x, y in zip(a, b))
+
+
+@given(object_graphs())
+@settings(max_examples=300, deadline=None)
+def test_roundtrip_preserves_sharing_and_cycles(nodes):
+    assert isomorphic(nodes, pickle_read(pickle_write(nodes)), {})

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.pickles import (
+    PickleWriter,
     RegistryError,
     TypeRegistry,
     UnknownRecordClass,
@@ -130,9 +131,29 @@ class TestRegistry:
     def test_unregister(self, registry):
         registry.register(Point)
         registry.unregister(Point)
-        assert registry.name_for(Point) is None
+        assert registry.describe(Point) is None
         with pytest.raises(RegistryError):
             registry.unregister(Point)
+
+    def test_describe_and_resolve_are_the_two_lookups(self, registry):
+        registry.register(Point)
+        registry.register(Node, name="ANode", fields=["label"])
+        assert registry.describe(Point) == ("Point", None)  # vars(instance)
+        assert registry.describe(Node) == ("ANode", ("label",))
+        assert registry.resolve("ANode") is Node
+        assert registry.resolve("Node") is None
+
+    def test_a_pass_asks_once_per_class_and_keeps_the_answer(self, registry):
+        """Unregistering mid-pass is a non-goal: the pass uses what it learned."""
+        registry.register(Point)
+        asked = []
+        describe = registry.describe
+        registry.describe = lambda cls: asked.append(cls) or describe(cls)
+        writer = PickleWriter(registry)
+        writer.write([Point(1, 2), Point(3, 4)])
+        registry.unregister(Point)
+        writer.write(Point(5, 6))
+        assert asked == [Point]
 
     def test_empty_name_rejected(self, registry):
         with pytest.raises(RegistryError):
@@ -149,7 +170,7 @@ class TestRegistry:
             pass
 
         try:
-            assert DEFAULT_REGISTRY.class_for("tests.TempRecord") is TempRecord
+            assert DEFAULT_REGISTRY.resolve("tests.TempRecord") is TempRecord
         finally:
             DEFAULT_REGISTRY.unregister(TempRecord)
 
@@ -158,5 +179,5 @@ class TestRegistry:
         class Local:
             pass
 
-        assert registry.class_for("Local") is Local
-        assert DEFAULT_REGISTRY.class_for("Local") is None
+        assert registry.resolve("Local") is Local
+        assert DEFAULT_REGISTRY.resolve("Local") is None

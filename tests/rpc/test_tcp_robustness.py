@@ -127,6 +127,27 @@ class TestLazyReconnect:
         assert info.value.maybe_delivered is False
 
 
+class TestNoDelay:
+    def test_both_ends_of_a_connection_disable_nagle(
+        self, echo_interface, server, server_model
+    ):
+        """A pipelined small frame must not wait behind Nagle + delayed ACK."""
+        srv = start_server(server, server_model)
+        transport = TcpTransport(srv.host, srv.port)
+        try:
+            # one round trip, so the server has certainly accepted
+            assert make_client(echo_interface, transport).call("double", 4) == 8
+            if server_model == "eventloop":
+                (accepted,) = [conn.sock for conn in srv._connections.values()]
+            else:
+                (accepted,) = srv._connections
+            for sock in (transport._sock, accepted):
+                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        finally:
+            transport.close()
+            srv.stop()
+
+
 class TestMalformedFrames:
     def _raw_connection(self, srv) -> socket.socket:
         return socket.create_connection((srv.host, srv.port), timeout=5)
