@@ -134,7 +134,7 @@ def test_e11_hard_error_checkpoint_fallback(benchmark, report):
 
 def test_e11_replica_restore(benchmark, report):
     """Hard error beyond local recovery ⇒ restore from a replica."""
-    from repro.nameserver import Replica, restore_replica
+    from repro.nameserver import Replica, ReplicaRecoverer
 
     def run():
         fs_a = SimFS(clock=SimClock())
@@ -148,7 +148,7 @@ def test_e11_replica_restore(benchmark, report):
         a.bind("names/unpropagated", "lost")
         # a's disk is now damaged beyond recovery; rebuild from b.
         fs_new = SimFS(clock=SimClock())
-        restored = restore_replica(fs_new, "a", source=b)
+        restored = ReplicaRecoverer(fs_new, "a", [b]).run()
         return restored.count(), restored.exists("names/unpropagated")
 
     count, has_unpropagated = once(benchmark, run)

@@ -3,12 +3,15 @@
 
 Three name server replicas accept updates independently, gossip to
 convergence, resolve a concurrent conflict identically everywhere, and
-finally rebuild a replica whose disk has failed from one of its peers —
-losing only the single update that had never propagated, exactly the
-paper's stated bound.
+finally a replica whose disk has failed is rebuilt on a blank disk by a
+``ReplicaRecoverer`` — it picks a healthy peer, ships that peer's
+checkpoint and log tail, and cuts over through the ordinary version
+switch — losing only the single update that had never propagated,
+exactly the paper's stated bound.
 """
 
-from repro import Replica, ReplicaGroup, restore_replica
+from repro import Replica, ReplicaGroup
+from repro.nameserver import ReplicaRecoverer
 from repro.sim import SimClock
 from repro.storage import SimFS
 
@@ -50,8 +53,11 @@ def main() -> None:
     # Replica b suffers a hard error after one unpropagated update.
     b.bind("users/only-on-b", "doomed")
     b.close()
-    restored = restore_replica(fresh_fs(), "b", source=a)
-    print(f"replica b restored from a: {restored.count()} names; "
+    recoverer = ReplicaRecoverer(fresh_fs(), "b", [a, c])
+    restored = recoverer.run()
+    print(f"replica b recovered from {recoverer.report.peer_id} "
+          f"({' > '.join(recoverer.report.stages)}): "
+          f"{restored.count()} names; "
           f"unpropagated update lost: "
           f"{not restored.exists('users/only-on-b')}")
 

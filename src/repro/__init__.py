@@ -56,7 +56,6 @@ from repro.nameserver import (
     Replica,
     ReplicaGroup,
     ResilientReplicaGroup,
-    restore_replica,
 )
 from repro.obs import MetricsExporter, MetricsRegistry, SlowOpLog, Tracer
 from repro.pickles import TypeRegistry, pickle_read, pickle_write, pickleable
@@ -129,5 +128,4 @@ __all__ = [
     "pickle_read",
     "pickle_write",
     "pickleable",
-    "restore_replica",
 ]

@@ -15,15 +15,14 @@ shards and clients hold cached copies and converge by comparing epochs —
 a ``WrongShard`` redirect carries the newer map, so staleness heals on
 first contact.
 
-Since format v2 each shard entry carries a **replica set**: an ordered
+Each shard entry carries a **replica set**: an ordered
 tuple of ``(replica_id, address)`` pairs whose first entry is the
 primary (the only replica that acks writes) and whose tail are
 followers (read failover targets, promotion candidates).  A primary
 change is just another epoch bump — :meth:`ShardMap.with_primary`
 reorders the set — so the same redirect/install machinery that heals
-stale range placement also heals stale primaries.  v1 maps (no replica
-sets) load as single-replica shards whose one replica is the shard
-itself, keeping every pre-replication deployment readable.
+stale range placement also heals stale primaries.  A shard given as a
+bare address is a replica set of one: the shard itself.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ from repro.core.sharding import HASH_SPACE, default_hash
 
 #: wire/disk format tag for serialized maps (replica-set aware)
 SHARDMAP_FORMAT = "repro-shardmap-v2"
-#: the pre-replication format: one implicit replica per shard
-SHARDMAP_FORMAT_V1 = "repro-shardmap-v1"
 
 
 @dataclass(frozen=True)
@@ -400,8 +397,8 @@ class ShardMap:
 
     @classmethod
     def from_wire(cls, payload: dict) -> "ShardMap":
-        """Parse a v2 map; v1 loads as single-replica shards."""
-        if payload.get("format") not in (SHARDMAP_FORMAT, SHARDMAP_FORMAT_V1):
+        """Parse what :meth:`to_wire` wrote; any other format is rejected."""
+        if payload.get("format") != SHARDMAP_FORMAT:
             raise ShardMapError(
                 f"unknown shard map format {payload.get('format')!r}"
             )
@@ -412,7 +409,7 @@ class ShardMap:
                 tuple((int(lo), int(hi)) for lo, hi in entry["ranges"]),
                 tuple(
                     ReplicaInfo(r["id"], r["address"])
-                    for r in entry.get("replicas", ())
+                    for r in entry["replicas"]
                 ),
             )
             for entry in payload["shards"]

@@ -57,7 +57,7 @@ from repro.core.stats import DatabaseStats
 from repro.core.transactions import DEFAULT_OPERATIONS, OperationRegistry
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import Tracer, child_span, maybe_span
+from repro.obs.tracing import Tracer
 from repro.core.version import (
     NEWVERSION_FILE,
     VERSION_FILE,
@@ -67,8 +67,8 @@ from repro.core.version import (
     logfile_name,
 )
 from repro.pickles import DEFAULT_REGISTRY, TypeRegistry, pickle_write
-from repro.sim.clock import Clock, Stopwatch, WallClock
-from repro.sim.costmodel import NULL_COST_MODEL, CostModel
+from repro.sim.clock import Clock, WallClock
+from repro.sim.costmodel import CostModel
 from repro.storage.errors import MediaError, StorageError
 from repro.storage.interface import FileSystem
 
@@ -147,7 +147,6 @@ FlightRecorder` black box; one on the database's clock is created when
             pickle_registry if pickle_registry is not None else DEFAULT_REGISTRY
         )
         self.clock = clock if clock is not None else getattr(fs, "clock", None) or WallClock()
-        self.cost_model = cost_model if cost_model is not None else NULL_COST_MODEL
         self.policy = policy if policy is not None else Never()
         if keep_versions < 1:
             raise ValueError("keep_versions must be at least 1")
@@ -177,9 +176,13 @@ FlightRecorder` black box; one on the database's clock is created when
             registry if registry is not None else MetricsRegistry(clock=self.clock)
         )
         self.tracer = tracer
-        self.stats = DatabaseStats(self.registry)
         self.flight = (
             flight if flight is not None else FlightRecorder(clock=self.clock)
+        )
+        #: every count and timing, and the one seam the clock laps, the
+        #: spans and the (1987) cost model hang off
+        self.stats = DatabaseStats(
+            self.registry, self.clock, cost_model, tracer, self.flight
         )
         self.health_monitor = HealthMonitor(self.registry, flight=self.flight)
         self._checkpoint_failures = self.registry.counter(
@@ -210,44 +213,31 @@ FlightRecorder` black box; one on the database's clock is created when
         """Run the restart sequence (or bootstrap a brand-new database)."""
         if self._open:
             return
-        watch = Stopwatch(self.clock)
+        started = self.clock.now()
         state = recover(
             self.fs,
             self.operations,
             self.pickle_registry,
-            self.clock,
-            self.cost_model,
+            self.stats,
             keep_versions=self.keep_versions,
             ignore_damaged_log=self.ignore_damaged_log,
-            metrics=self.registry,
-            flight=self.flight,
         )
         if state is None:
             self._bootstrap()
-            self.stats.record_restart(watch.elapsed(), 0)
-            self._open = True
-            return
-        self._root = state.root
-        self._version = state.version
-        # The writer resumes at the file's true end: recovery has already
-        # truncated any torn tail in strict mode, and in ignore mode the
-        # padded framing realigns the next entry to a page boundary.
-        self._log = LogWriter(
-            self.fs,
-            logfile_name(state.version),
-            page_size=self.page_size,
-            pad_to_page=self.pad_log_to_page,
-            start_seq=state.next_seq,
-            clock=self.clock,
-            sync_observer=self._note_fsync,
-            flight=self.flight,
+        else:
+            self._root = state.root
+            self._version = state.version
+            # The writer resumes at the file's true end: recovery has already
+            # truncated any torn tail in strict mode, and in ignore mode the
+            # padded framing realigns the next entry to a page boundary.
+            self._open_log(state.version, state.next_seq)
+            self.entries_since_checkpoint = state.entries_replayed
+        self.stats.record_restart(
+            self.clock.now() - started, state.entries_replayed if state else 0
         )
-        self._commit = self._make_coordinator(self._log)
-        self.entries_since_checkpoint = state.entries_replayed
-        self.stats.record_restart(watch.elapsed(), state.entries_replayed)
         self.last_recovery = state
         self._open = True
-        if state.entries_skipped or state.used_previous_checkpoint:
+        if state and (state.entries_skipped or state.used_previous_checkpoint):
             # Damaged files served this recovery; retire them immediately
             # by checkpointing the recovered state to a fresh version.
             try:
@@ -261,34 +251,45 @@ FlightRecorder` black box; one on the database's clock is created when
         self._root = self.initial()
         self._version = 1
         payload = pickle_write(self._root, self.pickle_registry)
-        self.cost_model.charge_pickle(self.clock, len(payload))
+        self.stats.charge("pickle", len(payload))
         write_checkpoint(self.fs, checkpoint_name(1), payload)
         self.fs.create(logfile_name(1))
         self.fs.fsync(logfile_name(1))
         self.fs.write(VERSION_FILE, b"1")
         self.fs.fsync(VERSION_FILE)
+        self._open_log(1)
+
+    def _open_log(self, version: int, start_seq: int = 1) -> None:
+        """Append to ``logfile{version}`` from here on.
+
+        Opening the database gives the new writer a new commit
+        coordinator.  A checkpoint's switch, on a running database,
+        rebinds the existing one instead: commit tickets stay monotonic
+        across the switch, so a group-mode waiter that staged its entry
+        in the old file still finds its ticket complete.
+        """
         self._log = LogWriter(
             self.fs,
-            logfile_name(1),
+            logfile_name(version),
             page_size=self.page_size,
             pad_to_page=self.pad_log_to_page,
+            start_seq=start_seq,
             clock=self.clock,
             sync_observer=self._note_fsync,
             flight=self.flight,
         )
-        self._commit = self._make_coordinator(self._log)
-        self.last_recovery = None
-
-    def _make_coordinator(self, writer: LogWriter) -> CommitCoordinator:
-        return CommitCoordinator(
-            writer,
-            self.clock,
-            self.commit_policy,
-            self.stats,
-            sync_retries=self.fault_retries,
-            fault_observer=self.health_monitor.note_fault,
-            flight=self.flight,
-        )
+        if self._open:
+            self._commit.rebind(self._log)
+        else:
+            self._commit = CommitCoordinator(
+                self._log,
+                self.clock,
+                self.commit_policy,
+                self.stats,
+                sync_retries=self.fault_retries,
+                fault_observer=self.health_monitor.note_fault,
+                flight=self.flight,
+            )
 
     def close(self) -> None:
         """Shut down cleanly.
@@ -328,7 +329,7 @@ FlightRecorder` black box; one on the database's clock is created when
         """
         self._check_usable()
         with self.lock.shared():
-            self.cost_model.charge_enquiry(self.clock)
+            self.stats.charge("enquiry")
             if self.paranoid_enquiries:
                 before = pickle_write(self._root, self.pickle_registry)
             result = fn(self._root, *args, **kwargs)
@@ -358,87 +359,8 @@ FlightRecorder` black box; one on the database's clock is created when
         call returns after staging, before any fsync.
         """
         self._check_writable()
-        with maybe_span(self.tracer, "db.update", op=op_name) as span:
-            return self._update_traced(span, op_name, args, kwargs)
-
-    def _update_traced(
-        self, span, op_name: str, args: tuple, kwargs: dict
-    ) -> object:
-        op = self.operations.get(op_name)
-        assert self._log is not None
-        with self.lock.update():
-            span.event("update_lock_acquired")
-            # Re-checked under the lock: another updater may have hit a
-            # persistent fault and sealed the log while we queued.
-            self._check_writable()
-            watch = Stopwatch(self.clock)
-            with child_span("db.explore"):
-                try:
-                    op.check(self._root, *args, **kwargs)
-                except PreconditionFailed:
-                    self.stats.record_rejected_update()
-                    raise
-                self.cost_model.charge_explore(self.clock)
-            explore_s = watch.restart()
-
-            with child_span("db.pickle"):
-                payload = pickle_write(
-                    (op_name, args, kwargs), self.pickle_registry
-                )
-                self.cost_model.charge_pickle(self.clock, len(payload))
-            pickle_s = watch.restart()
-
-            with child_span("db.log_append", bytes=len(payload)):
-                if self.durability == "immediate":
-                    entry = self._append_entry(payload)
-                    self._sync_log()  # the commit point
-                    ticket = None
-                else:
-                    entry = self._append_entry(payload)
-                    assert self._commit is not None
-                    ticket = self._commit.note_append()
-            log_write_s = watch.restart()
-
-            with child_span("db.apply"):
-                self.lock.upgrade()
-                try:
-                    try:
-                        result = op.apply(self._root, *args, **kwargs)
-                    except Exception as exc:
-                        # The log says this update happened; memory disagrees.
-                        self._poisoned = exc
-                        raise DatabasePoisoned(exc) from exc
-                    self.cost_model.charge_modify(self.clock)
-                finally:
-                    self.lock.downgrade()
-            apply_s = watch.restart()
-            # Counted under the update lock: a concurrent checkpoint's
-            # reset must order strictly before or after this update.
-            self.entries_since_checkpoint += 1
-
-        commit_wait_s = 0.0
-        if ticket is None:
-            self.stats.record_commit_batch(1)
-        elif self.durability == "relaxed":
-            self.stats.record_relaxed_updates(1)
-        else:
-            # The commit point (group mode): one leader fsyncs for the
-            # whole batch before any member's update() returns.  The
-            # leader's fsync appears as a commit.fsync child span here.
-            with child_span("db.commit_barrier"):
-                commit_wait_s = self._wait_durable(ticket)
-
-        self.stats.record_update(
-            explore_s,
-            pickle_s,
-            log_write_s + commit_wait_s,
-            apply_s,
-            entry.length,
-            len(payload),
-            commit_wait_seconds=commit_wait_s,
-        )
-        self.maybe_checkpoint()
-        return result
+        plan = [(self.operations.get(op_name), op_name, args, kwargs)]
+        return self._run(plan)[0]
 
     def update_many(self, batch: list[tuple]) -> list[object]:
         """Group commit: several single-shot transactions, one disk write.
@@ -457,84 +379,98 @@ FlightRecorder` black box; one on the database's clock is created when
         * no intermediate state is visible to enquiries: the in-memory
           applications all happen under one exclusive section after the
           commit.
+
+        It is :meth:`update`'s protocol run once over the whole batch,
+        and is traced and timed the same way; each entry's recorded phase
+        times are its equal share of the batch's.
         """
         self._check_writable()
-        if not batch:
-            return []
         plan = []
         for item in batch:
-            if len(item) == 2:
-                op_name, args = item
-                kwargs: dict = {}
-            else:
-                op_name, args, kwargs = item
+            op_name, args, kwargs = item if len(item) == 3 else (*item, {})
             plan.append((self.operations.get(op_name), op_name, tuple(args), kwargs))
-        assert self._log is not None
-        with self.lock.update():
-            self._check_writable()
-            watch = Stopwatch(self.clock)
-            for op, _name, args, kwargs in plan:
-                try:
-                    op.check(self._root, *args, **kwargs)
-                except PreconditionFailed:
-                    self.stats.record_rejected_update()
-                    raise
-                self.cost_model.charge_explore(self.clock)
-            explore_s = watch.restart() / len(plan)
+        return self._run(plan) if plan else []
 
-            payloads = []
-            for _op, name, args, kwargs in plan:
-                payload = pickle_write((name, args, kwargs), self.pickle_registry)
-                self.cost_model.charge_pickle(self.clock, len(payload))
-                payloads.append(payload)
-            pickle_s = watch.restart() / len(plan)
+    def _run(self, plan: list[tuple]) -> list[object]:
+        """The update protocol, on a plan of ``(op, name, args, kwargs)``.
 
-            if self.durability == "immediate":
-                entries = [self._append_entry(p) for p in payloads]
-                self._sync_log()  # one commit fsync
-                ticket = None
-            else:
-                # Stage every entry and wait once on the commit barrier;
-                # the shared fsync may also absorb concurrent updaters.
-                assert self._commit is not None
-                entries = [self._append_entry(p) for p in payloads]
-                ticket = 0
-                for _ in entries:
-                    ticket = self._commit.note_append()
-            log_write_s = watch.restart() / len(plan)
+        Every step covers the whole plan before the next begins, so a
+        plan of N is checked against one state, shares one commit point
+        and becomes visible to enquiries at once.  ``m.phase`` marks
+        where each step starts and ``stats.charge`` says what work it
+        did; timing, spans and the cost model hang off those (see
+        :mod:`repro.core.stats`).
+        """
+        assert self._log is not None and self._commit is not None
+        with self.stats.meter("db.update", op=plan[0][1], batch=len(plan)) as m:
+            with self.lock.update():
+                m.event("update_lock_acquired")
+                # Re-checked under the lock: another updater may have hit a
+                # persistent fault and sealed the log while we queued.
+                self._check_writable()
 
-            results: list[object] = []
-            self.lock.upgrade()
-            try:
+                # (1) verify the preconditions against virtual memory
+                m.phase("db.explore")
                 for op, _name, args, kwargs in plan:
                     try:
-                        results.append(op.apply(self._root, *args, **kwargs))
-                    except Exception as exc:
-                        self._poisoned = exc
-                        raise DatabasePoisoned(exc) from exc
-                    self.cost_model.charge_modify(self.clock)
-            finally:
-                self.lock.downgrade()
-            apply_s = watch.restart() / len(plan)
-            self.entries_since_checkpoint += len(plan)
+                        op.check(self._root, *args, **kwargs)
+                    except PreconditionFailed:
+                        self.stats.record_rejected_update()
+                        raise
+                    self.stats.charge("explore")
 
-        commit_wait_s = 0.0
-        if ticket is None:
-            self.stats.record_commit_batch(len(plan))
-        elif self.durability == "relaxed":
-            self.stats.record_relaxed_updates(len(plan))
-        else:
-            commit_wait_s = self._wait_durable(ticket)  # one commit fsync
-        per_entry_wait = commit_wait_s / len(plan)
+                # (2) commit the pickled parameters to the log
+                m.phase("db.pickle")
+                payloads = []
+                for _op, name, args, kwargs in plan:
+                    payload = pickle_write((name, args, kwargs), self.pickle_registry)
+                    self.stats.charge("pickle", len(payload))
+                    payloads.append(payload)
+                m.phase("db.log_append", bytes=sum(map(len, payloads)))
+                entries = [self._append_entry(p) for p in payloads]
+                ticket = None
+                if self.durability == "immediate":
+                    self._sync_log()  # the commit point: one fsync, under the lock
+                else:
+                    # Staged unsynced; the commit point is a shared fsync
+                    # on the barrier, which may also absorb other updaters.
+                    for _ in entries:
+                        ticket = self._commit.note_append()
 
-        for entry, payload in zip(entries, payloads):
-            self.stats.record_update(
-                explore_s, pickle_s, log_write_s + per_entry_wait, apply_s,
-                entry.length, len(payload),
-                commit_wait_seconds=per_entry_wait,
-            )
-        self.maybe_checkpoint()
-        return results
+                # (3) apply to virtual memory under the exclusive lock
+                m.phase("db.apply")
+                results: list[object] = []
+                self.lock.upgrade()
+                try:
+                    for op, _name, args, kwargs in plan:
+                        try:
+                            results.append(op.apply(self._root, *args, **kwargs))
+                        except Exception as exc:
+                            # The log says this update happened; memory disagrees.
+                            self._poisoned = exc
+                            raise DatabasePoisoned(exc) from exc
+                        self.stats.charge("modify")
+                finally:
+                    self.lock.downgrade()
+                m.phase()
+                # Counted under the update lock: a concurrent checkpoint's
+                # reset must order strictly before or after this update.
+                self.entries_since_checkpoint += len(plan)
+
+            commit_wait_s = 0.0
+            if ticket is None:
+                self.stats.record_commit_batch(len(plan))
+            elif self.durability == "relaxed":
+                self.stats.record_relaxed_updates(len(plan))
+            else:
+                # The commit point (group mode): one leader fsyncs for the
+                # whole batch before any member's update() returns.  The
+                # leader's fsync appears as a commit.fsync child span here.
+                m.phase("db.commit_barrier")
+                commit_wait_s = self._wait_durable(ticket)
+            m.record_update(entries, payloads, commit_wait_s)
+            self.maybe_checkpoint()
+            return results
 
     def checkpoint(self) -> int:
         """Write a checkpoint and reset the log; returns the new version.
@@ -551,8 +487,8 @@ FlightRecorder` black box; one on the database's clock is created when
         a restart completes the tidy-up.
         """
         self._check_writable()
-        with maybe_span(self.tracer, "db.checkpoint"), self.lock.update():
-            watch = Stopwatch(self.clock)
+        with self.stats.meter("db.checkpoint") as m, self.lock.update():
+            m.phase()
             if self._commit is not None:
                 # Retire any unsynced tail (relaxed-mode backlog) before
                 # this log file is superseded: holding the update lock
@@ -567,7 +503,7 @@ FlightRecorder` black box; one on the database's clock is created when
             self._before_log_reset(self._version)
             new_version = self._version + 1
             payload = pickle_write(self._root, self.pickle_registry)
-            self.cost_model.charge_pickle(self.clock, len(payload))
+            self.stats.charge("pickle", len(payload))
             try:
                 write_checkpoint(self.fs, checkpoint_name(new_version), payload)
                 self.fs.create(logfile_name(new_version))
@@ -594,22 +530,12 @@ FlightRecorder` black box; one on the database's clock is created when
                 # Past the commit point: newversion durably names the new
                 # version, so a restart finishes the tidy-up.
                 self.health_monitor.note_fault("finalize_switch", exc)
-            self._log = LogWriter(
-                self.fs,
-                logfile_name(new_version),
-                page_size=self.page_size,
-                pad_to_page=self.pad_log_to_page,
-                clock=self.clock,
-                sync_observer=self._note_fsync,
-                flight=self.flight,
-            )
-            if self._commit is not None:
-                self._commit.rebind(self._log)
+            self._open_log(new_version)
             self._version = new_version
             self.entries_since_checkpoint = 0
             self._checkpoint_retry_pending = False
             self.last_checkpoint_time = self.clock.now()
-            elapsed = watch.elapsed()
+            elapsed = m.elapsed()
             self.flight.record("checkpoint_switch", version=new_version)
         self.stats.record_checkpoint(elapsed, len(payload))
         self.policy.note_checkpoint(self)

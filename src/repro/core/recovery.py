@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from repro.core.checkpoint import CheckpointDamaged, read_checkpoint
 from repro.core.errors import RecoveryError, UnknownOperation
 from repro.core.log import LogScan
+from repro.core.stats import DatabaseStats
 from repro.core.transactions import OperationRegistry
 from repro.core.version import (
     CurrentVersion,
@@ -36,10 +37,7 @@ from repro.core.version import (
     logfile_name,
     read_current_version,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.pickles import TypeRegistry, pickle_read
-from repro.sim.clock import Clock
-from repro.sim.costmodel import CostModel
 from repro.storage.errors import HardError
 from repro.storage.interface import FileSystem
 
@@ -68,12 +66,9 @@ def recover(
     fs: FileSystem,
     operations: OperationRegistry,
     registry: TypeRegistry,
-    clock: Clock,
-    cost_model: CostModel,
+    stats: DatabaseStats,
     keep_versions: int = 1,
     ignore_damaged_log: bool = False,
-    metrics: MetricsRegistry | None = None,
-    flight=None,
 ) -> RecoveredState | None:
     """Run the restart sequence; ``None`` means no committed state exists.
 
@@ -81,36 +76,28 @@ def recover(
     reconstructed locally (the paper's answer at that point is "restore
     from a replica" — see :mod:`repro.nameserver.replication`).
 
-    ``metrics`` is an observability registry (distinct from ``registry``,
-    the *pickle* type registry): when given, recovery publishes its
-    replay rate and bytes scanned there, and while a log is being
-    replayed the ``recovery_replay_entries`` / ``recovery_replay_bytes``
-    gauges advance towards ``recovery_log_bytes`` every
-    :data:`PROGRESS_EVERY` entries.  ``flight`` (a
-    :class:`~repro.obs.flight.FlightRecorder`) receives one
-    ``log_replay_progress`` event at the same cadence.
+    ``stats`` is the database's instrumentation (``registry`` is the
+    *pickle* type registry): recovery runs on its clock and charges the
+    unpickle and modify work of a replay to its cost model; it publishes
+    its replay rate and bytes scanned in ``stats.registry``, and while a
+    log is being replayed the ``recovery_replay_entries`` /
+    ``recovery_replay_bytes`` gauges advance towards
+    ``recovery_log_bytes`` every :data:`PROGRESS_EVERY` entries.
+    ``stats.flight``, when set, receives one ``log_replay_progress``
+    event at the same cadence.
     """
     current = read_current_version(fs)
     if current is None:
         return None
     cleanup_after_restart(fs, current, keep_versions)
-    watch_start = clock.now()
+    watch_start = stats.clock.now()
 
     used_previous = False
     try:
-        root = _load_checkpoint(fs, current.number, registry, clock, cost_model)
+        root = _load_checkpoint(fs, current.number, registry, stats)
     except (CheckpointDamaged, HardError) as exc:
         root, used_previous = _fall_back_to_previous(
-            fs,
-            current,
-            operations,
-            registry,
-            clock,
-            cost_model,
-            ignore_damaged_log,
-            cause=exc,
-            metrics=metrics,
-            flight=flight,
+            fs, current, operations, registry, stats, ignore_damaged_log, cause=exc
         )
 
     outcome, replayed, skipped = _replay_log(
@@ -119,21 +106,20 @@ def recover(
         root,
         operations,
         registry,
-        clock,
-        cost_model,
+        stats,
         ignore_damaged_log,
-        metrics=metrics,
-        flight=flight,
     )
     if outcome.truncated:
         # Cut the torn or damaged tail off so the writer can resume
         # appending cleanly after it.
         fs.truncate(logfile_name(current.number), outcome.good_length)
 
-    if metrics is not None:
-        _publish_metrics(
-            metrics, clock.now() - watch_start, replayed, outcome.good_length
-        )
+    _publish_metrics(
+        stats.registry,
+        stats.clock.now() - watch_start,
+        replayed,
+        outcome.good_length,
+    )
     return RecoveredState(
         root=root,
         version=current.number,
@@ -164,14 +150,10 @@ def _publish_metrics(
 
 
 def _load_checkpoint(
-    fs: FileSystem,
-    version: int,
-    registry: TypeRegistry,
-    clock: Clock,
-    cost_model: CostModel,
+    fs: FileSystem, version: int, registry: TypeRegistry, stats: DatabaseStats
 ) -> object:
     payload = read_checkpoint(fs, checkpoint_name(version))
-    cost_model.charge_unpickle(clock, len(payload))
+    stats.charge("unpickle", len(payload))
     return pickle_read(payload, registry)
 
 
@@ -180,12 +162,9 @@ def _fall_back_to_previous(
     current: CurrentVersion,
     operations: OperationRegistry,
     registry: TypeRegistry,
-    clock: Clock,
-    cost_model: CostModel,
+    stats: DatabaseStats,
     ignore_damaged_log: bool,
     cause: Exception,
-    metrics: MetricsRegistry | None = None,
-    flight=None,
 ) -> tuple[object, bool]:
     """Section 4's hard-error recipe using the retained previous pair."""
     previous_candidates = [
@@ -198,7 +177,7 @@ def _fall_back_to_previous(
         ) from cause
     previous = previous_candidates[-1]
     try:
-        root = _load_checkpoint(fs, previous, registry, clock, cost_model)
+        root = _load_checkpoint(fs, previous, registry, stats)
     except (CheckpointDamaged, HardError) as second:
         raise RecoveryError(
             f"checkpoints {current.number} and {previous} are both damaged"
@@ -211,11 +190,8 @@ def _fall_back_to_previous(
         root,
         operations,
         registry,
-        clock,
-        cost_model,
+        stats,
         ignore_damaged_log,
-        metrics=metrics,
-        flight=flight,
     )
     if outcome.truncated:
         raise RecoveryError(
@@ -231,22 +207,19 @@ def _replay_log(
     root: object,
     operations: OperationRegistry,
     registry: TypeRegistry,
-    clock: Clock,
-    cost_model: CostModel,
+    stats: DatabaseStats,
     ignore_damaged: bool,
-    metrics: MetricsRegistry | None = None,
-    flight=None,
 ):
     """Apply every committed update in ``name`` to ``root``.
 
-    Progress goes to ``metrics`` and ``flight`` where given; see
+    Progress goes to ``stats.registry`` and ``stats.flight``; see
     :func:`_progress_reporter`.
     """
     scan = LogScan(fs, name, ignore_damaged=ignore_damaged)
-    progress = _progress_reporter(metrics, flight, name, fs.size(name))
+    progress = _progress_reporter(stats, name, fs.size(name))
     replayed = 0
     for entry in scan:
-        cost_model.charge_unpickle(clock, len(entry.payload))
+        stats.charge("unpickle", len(entry.payload))
         try:
             op_name, args, kwargs = pickle_read(entry.payload, registry)
         except Exception as exc:
@@ -270,7 +243,7 @@ def _replay_log(
             ) from exc
         # Replay applies without re-verifying preconditions, so only the
         # modify phase's CPU is charged (plus the unpickle above).
-        cost_model.charge_modify(clock)
+        stats.charge("modify")
         replayed += 1
         if replayed % PROGRESS_EVERY == 0:
             progress(replayed, entry.offset + entry.length)
@@ -278,7 +251,7 @@ def _replay_log(
     return scan.outcome, replayed, scan.outcome.damaged_skipped
 
 
-def _progress_reporter(metrics, flight, name: str, log_bytes: int):
+def _progress_reporter(stats: DatabaseStats, name: str, log_bytes: int):
     """``report(entries, bytes_done)`` for one replay of ``name``.
 
     Each report sets the gauges ``recovery_replay_entries`` and
@@ -288,21 +261,20 @@ def _progress_reporter(metrics, flight, name: str, log_bytes: int):
     is the closing report: the whole file has been scanned, whatever was
     skipped, so the gauges meet; it records no event.
     """
-    if metrics is not None:
-        entries_gauge = metrics.gauge(
-            "recovery_replay_entries", "Log entries applied by the current replay."
-        )
-        bytes_gauge = metrics.gauge(
-            "recovery_replay_bytes", "Log bytes the current replay has consumed."
-        )
-        metrics.gauge(
-            "recovery_log_bytes", "Size of the log being (or last) replayed."
-        ).set(log_bytes)
+    metrics, flight = stats.registry, stats.flight
+    entries_gauge = metrics.gauge(
+        "recovery_replay_entries", "Log entries applied by the current replay."
+    )
+    bytes_gauge = metrics.gauge(
+        "recovery_replay_bytes", "Log bytes the current replay has consumed."
+    )
+    metrics.gauge(
+        "recovery_log_bytes", "Size of the log being (or last) replayed."
+    ).set(log_bytes)
 
     def report(entries: int, bytes_done: int | None) -> None:
-        if metrics is not None:
-            entries_gauge.set(entries)
-            bytes_gauge.set(log_bytes if bytes_done is None else bytes_done)
+        entries_gauge.set(entries)
+        bytes_gauge.set(log_bytes if bytes_done is None else bytes_done)
         if flight is not None and bytes_done is not None:
             flight.record(
                 "log_replay_progress",

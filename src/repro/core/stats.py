@@ -14,6 +14,14 @@ attributes (``stats.updates``, ``stats.log_bytes_written``…) read them
 back, so each quantity has exactly one source of truth and shows up in
 the Prometheus/JSON exports for free.  The historical API — every field,
 method, and ``snapshot()`` key — is preserved.
+
+It is also the core's one instrumentation **seam**.  The update protocol
+in :mod:`repro.core.database` marks where each phase begins on a
+per-update :class:`Meter` and says what work it did with
+:meth:`DatabaseStats.charge`; the clock laps, the phase spans and the 1987
+cost model all hang off those two calls, so the protocol itself contains
+no timing, tracing or simulation code.  Recovery is handed the same
+object instead of a clock, a cost model, a registry and a flight recorder.
 """
 
 from __future__ import annotations
@@ -22,6 +30,9 @@ import threading
 from dataclasses import dataclass
 
 from repro.obs.metrics import MetricsRegistry, SIZE_BUCKETS
+from repro.obs.tracing import NULL_SPAN, maybe_span
+from repro.sim.clock import Clock
+from repro.sim.costmodel import NULL_COST_MODEL, CostModel
 
 _PHASES = ("explore", "pickle", "log_write", "apply")
 
@@ -53,6 +64,86 @@ class PhaseBreakdown:
         }
 
 
+class Meter:
+    """One operation's span and clock laps, handed out by :meth:`DatabaseStats.meter`.
+
+    Entering the meter makes its span (if there is one) the thread's
+    active span.  :meth:`phase` then delimits the operation's phases:
+    each call laps the clock into ``laps`` and, when the operation is
+    being traced, closes the running phase's span and opens the next
+    as a child.  The parent span is resolved once, when the meter is
+    made; an untraced operation does no span work at all.
+    """
+
+    __slots__ = ("_stats", "_now", "_span", "_phase", "_mark", "laps")
+
+    def __init__(self, stats: "DatabaseStats", span) -> None:
+        self._stats = stats
+        self._now = stats.clock.now
+        self._span = span
+        self._phase = None
+        self._mark: float | None = None
+        #: seconds of each phase ended so far, in order
+        self.laps: list[float] = []
+
+    def __enter__(self) -> "Meter":
+        if self._span is not None:
+            self._span.__enter__()
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self._span is not None:
+            if self._phase is not None:
+                self._phase.__exit__(*exc_info)
+            self._span.__exit__(*exc_info)
+
+    def event(self, name: str) -> None:
+        """Note a point event on the operation's span."""
+        if self._span is not None:
+            self._span.event(name)
+
+    def phase(self, name: str | None = None, **attrs: object) -> None:
+        """End the running phase, if any, and start phase ``name``.
+
+        With no ``name`` the clock keeps running but no span is opened:
+        the first such call starts the laps, a later one ends a phase
+        without starting another.
+        """
+        now = self._now()
+        if self._mark is not None:
+            self.laps.append(now - self._mark)
+        self._mark = now
+        if self._span is not None:
+            if self._phase is not None:
+                self._phase.__exit__(None, None, None)
+            self._phase = (
+                self._span.child(name, **attrs).__enter__() if name else None
+            )
+
+    def elapsed(self) -> float:
+        """Seconds on the clock since the running phase started."""
+        return self._now() - self._mark
+
+    def record_update(
+        self, entries: list, payloads: list[bytes], commit_wait_seconds: float
+    ) -> None:
+        """End the running phase and record the update's log entries.
+
+        The first four laps are the explore, pickle, log-write and apply
+        phases of the whole plan; each entry is recorded with an equal
+        share of them and of the one shared commit wait.
+        """
+        self.phase()
+        n = len(entries)
+        explore, pickle, log_write, apply = (lap / n for lap in self.laps[:4])
+        wait = commit_wait_seconds / n
+        for entry, payload in zip(entries, payloads):
+            self._stats.record_update(
+                explore, pickle, log_write + wait, apply,
+                entry.length, len(payload), commit_wait_seconds=wait,
+            )
+
+
 class DatabaseStats:
     """Counters and timing accumulators for one database instance.
 
@@ -60,62 +151,80 @@ class DatabaseStats:
     standalone construction keeps working).  ``_lock`` serialises the
     multi-metric record methods against ``snapshot()`` so a snapshot
     never shows an update half-recorded.
+
+    ``clock`` (the registry's by default) is what :meth:`meter` laps and
+    what ``cost_model`` is charged to; ``tracer`` roots the spans of
+    operations no traced caller is waiting on; ``flight`` is carried for
+    recovery's progress events.
     """
 
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
+    def __init__(
+        self,
+        registry: MetricsRegistry | None = None,
+        clock: Clock | None = None,
+        cost_model: CostModel | None = None,
+        tracer=None,
+        flight=None,
+    ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
+        self.clock = clock if clock is not None else self.registry.clock
+        # A free model is never called: on a wall clock nothing
+        # simulation-shaped is left on the update path.
+        self._model = None if cost_model in (None, NULL_COST_MODEL) else cost_model
+        self.tracer = tracer
+        self.flight = flight
         self._lock = threading.Lock()
         r = self.registry
         self._enquiries = r.counter(
             "db_enquiries_total", "Read-only enquiries served."
-        )
+        ).labels()
         self._updates = r.counter(
             "db_updates_total", "Updates applied (and logged)."
-        )
+        ).labels()
         self._updates_rejected = r.counter(
             "db_updates_rejected_total", "Updates rejected before logging."
-        )
+        ).labels()
         self._checkpoints = r.counter(
             "db_checkpoints_total", "Checkpoints written."
-        )
+        ).labels()
         self._restarts = r.counter(
             "db_restarts_total", "Recoveries (database opens with replay)."
-        )
+        ).labels()
         self._entries_replayed = r.counter(
             "db_entries_replayed_total", "Log entries replayed during recovery."
-        )
+        ).labels()
         self._log_entries_written = r.counter(
             "db_log_entries_written_total", "Log entries appended."
-        )
+        ).labels()
         self._log_bytes_written = r.counter(
             "db_log_bytes_written_total", "Bytes appended to the log."
-        )
+        ).labels()
         self._pickle_bytes_written = r.counter(
             "db_pickle_bytes_written_total", "Pickled payload bytes logged."
-        )
+        ).labels()
         self._checkpoint_bytes_written = r.counter(
             "db_checkpoint_bytes_written_total", "Bytes written by checkpoints."
-        )
+        ).labels()
         self._last_checkpoint_seconds = r.gauge(
             "db_last_checkpoint_seconds", "Duration of the last checkpoint."
-        )
+        ).labels()
         self._last_restart_seconds = r.gauge(
             "db_last_restart_seconds", "Duration of the last recovery."
-        )
+        ).labels()
         self._checkpoint_seconds = r.histogram(
             "db_checkpoint_seconds", "Checkpoint durations."
-        )
+        ).labels()
         self._restart_seconds = r.histogram(
             "db_restart_seconds", "Recovery durations."
-        )
+        ).labels()
         self._log_fsyncs = r.counter(
             "db_log_fsyncs_total",
             "Commit-point fsyncs on the log (one per immediate-mode update, "
             "one per coordinator batch); checkpoint-file fsyncs not included.",
-        )
+        ).labels()
         self._fsync_seconds = r.histogram(
             "db_fsync_seconds", "Log fsync durations at commit points."
-        )
+        ).labels()
         self._commit_batches = r.counter(
             "db_commit_batch_total",
             "Commit fsyncs by how many log entries each covered.",
@@ -125,24 +234,24 @@ class DatabaseStats:
             "db_commit_batch_size",
             "Distribution of entries per commit fsync.",
             buckets=SIZE_BUCKETS,
-        )
+        ).labels()
         self._max_commit_batch = r.gauge(
             "db_max_commit_batch", "Largest commit batch seen."
-        )
+        ).labels()
         self._commit_wait_seconds = r.counter(
             "db_commit_wait_seconds_total",
             "Seconds updates spent blocked on the commit barrier.",
-        )
+        ).labels()
         self._last_commit_wait_seconds = r.gauge(
             "db_last_commit_wait_seconds", "Commit wait of the last update."
-        )
+        ).labels()
         self._relaxed_updates = r.counter(
             "db_relaxed_updates_total",
             "Updates that returned before their fsync (durability=relaxed).",
-        )
+        ).labels()
         self._update_seconds = r.histogram(
             "db_update_seconds", "End-to-end update durations (sum of phases)."
-        )
+        ).labels()
         self._phase_seconds = r.counter(
             "db_update_phase_seconds_total",
             "Cumulative update time by phase (explore/pickle/log_write/apply).",
@@ -244,6 +353,27 @@ class DatabaseStats:
     @property
     def last_update(self) -> PhaseBreakdown:
         return PhaseBreakdown(*(self._phase_lasts[p].value for p in _PHASES))
+
+    # -- the seam: spans, laps and the cost model -----------------------------
+
+    def meter(self, name: str, **attrs: object) -> Meter:
+        """A :class:`Meter` for one operation, under a span called ``name``.
+
+        The span is a child of the thread's active span, else a root on
+        ``tracer``, else (or when that root is sampled out) absent.
+        """
+        span = maybe_span(self.tracer, name, **attrs)
+        return Meter(self, None if span is NULL_SPAN else span)
+
+    def charge(self, work: str, *nbytes: int) -> None:
+        """Charge the cost model's price of ``work`` to the clock.
+
+        ``work`` names a :class:`~repro.sim.costmodel.CostModel` charge:
+        ``"enquiry"``, ``"explore"``, ``"modify"``, or — with the byte
+        count — ``"pickle"`` / ``"unpickle"``.
+        """
+        if self._model is not None:
+            getattr(self._model, "charge_" + work)(self.clock, *nbytes)
 
     # -- recording ------------------------------------------------------------
 

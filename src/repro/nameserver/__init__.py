@@ -44,7 +44,6 @@ from repro.nameserver.replication import (
     SyncReport,
     diverged_leaf_paths,
     repair_divergence,
-    restore_replica,
 )
 from repro.nameserver.server import (
     NAMESERVER_INTERFACE,
@@ -104,7 +103,6 @@ __all__ = [
     "nameserver_interface",
     "new_root",
     "parse_path",
-    "restore_replica",
     "subtree_entries",
     "updates_since",
 ]

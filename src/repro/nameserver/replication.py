@@ -1,4 +1,4 @@
-"""Replication: update propagation, anti-entropy, replica restoration.
+"""Replication: update propagation and anti-entropy between replicas.
 
 The paper runs several name server replicas and uses them, rather than
 local disk redundancy, to recover from hard failures:
@@ -9,15 +9,17 @@ local disk redundancy, to recover from hard failures:
     propagated to any other replica. […] We have automatic mechanisms for
     ensuring the long-term consistency of the name server replicas.
 
-Three mechanisms live here:
+Two of the three mechanisms live here:
 
 * **eager propagation** — after local updates, push the new history
   records to every reachable peer (best effort; failures are tolerated);
 * **anti-entropy** — periodic pairwise reconciliation by version vector:
   each side fetches exactly the records it lacks.  Updates are idempotent
-  and last-writer-wins per name, so any gossip order converges;
-* **restoration** — rebuild a replica whose local recovery failed by
-  replaying a peer's complete history into a fresh database.
+  and last-writer-wins per name, so any gossip order converges.
+
+The third, **restoration** — rebuilding a replica whose local recovery
+failed from a peer's checkpoint and log tail — is
+:class:`repro.nameserver.recover.ReplicaRecoverer`.
 
 A "peer" is anything with the replication hooks — a local
 :class:`NameServer`, a :class:`RemoteNameServer` over RPC, or another
@@ -27,7 +29,6 @@ TCP deployments.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from repro.core.errors import DatabaseDegraded
@@ -159,52 +160,6 @@ class Replica(NameServer):
         except Exception as exc:
             raise PeerUnavailable(f"push failed: {exc!r}") from exc
         return pulled, pushed
-
-
-def restore_replica(
-    fs: FileSystem,
-    replica_id: str,
-    source: object,
-    **db_options: object,
-) -> Replica:
-    """Rebuild a replica from a peer after an unrecoverable hard error.
-
-    .. deprecated::
-        This whole-state path (wipe everything, replay the peer's entire
-        history through ``apply_remote``) is superseded by the staged,
-        resumable :class:`~repro.nameserver.recover.ReplicaRecoverer`,
-        which ships the peer's *checkpoint* plus only the log tail, and
-        survives crashes mid-restore.  This wrapper now routes through
-        the recoverer; call it directly for peer selection, resumability
-        and observability.
-
-    The damaged on-disk state is discarded entirely (every file deleted)
-    and the node is rebuilt from ``source``'s checkpoint and log tail.
-    "This causes us to lose only those updates that had been applied to
-    the damaged replica but not propagated to any other replica."
-    """
-    warnings.warn(
-        "restore_replica is deprecated: use "
-        "repro.nameserver.recover.ReplicaRecoverer, which resumes after "
-        "crashes and ships a checkpoint instead of replaying all history",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.nameserver.recover import ReplicaRecoverer
-
-    for name in list(fs.list_names()):
-        fs.delete(name)
-    fs.fsync_dir()
-    recoverer = ReplicaRecoverer(
-        fs,
-        replica_id,
-        [source],
-        clock=db_options.get("clock"),
-        registry=db_options.get("registry"),
-        flight=db_options.get("flight"),
-        db_options=db_options,
-    )
-    return recoverer.run()
 
 
 class ReplicaGroup:

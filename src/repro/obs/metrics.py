@@ -243,8 +243,9 @@ class MetricFamily:
         self.buckets = buckets
         self._series: dict[tuple[str, ...], _Series] = {}
         self._lock = threading.Lock()
-        if not labelnames:
-            self.labels()  # materialise the single series eagerly
+        #: an unlabelled family's one series, materialised eagerly so the
+        #: value methods below reach it without a lock or a lookup
+        self._only = None if labelnames else self.labels()
 
     def labels(self, *values: object, **kwvalues: object) -> object:
         """The series for one label combination (created on first use)."""
@@ -281,11 +282,11 @@ class MetricFamily:
     # -- unlabelled conveniences ---------------------------------------------
 
     def _single(self) -> object:
-        if self.labelnames:
+        if self._only is None:
             raise MetricError(
                 f"{self.name} is labelled by {self.labelnames!r}; call labels()"
             )
-        return self.labels()
+        return self._only
 
     def inc(self, amount: float = 1.0) -> None:
         self._single().inc(amount)

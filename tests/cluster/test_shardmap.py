@@ -122,15 +122,13 @@ class TestWire:
         with pytest.raises(ShardMapError):
             ShardMap.from_wire(payload)
 
-    def test_v1_wire_payload_still_loads(self):
-        # Maps persisted before replica sets carry no "replicas" key.
+    @pytest.mark.parametrize("tag", ["repro-shardmap-v1", "repro-shardmap-v3", None])
+    def test_unknown_format_is_rejected(self, tag):
+        # to_wire has only ever written v2: there is no older file to load.
         payload = ShardMap.initial({"s0": "h:1"}).to_wire()
-        payload["format"] = "repro-shardmap-v1"
-        for entry in payload["shards"]:
-            entry.pop("replicas", None)
-        loaded = ShardMap.from_wire(payload)
-        assert loaded == ShardMap.initial({"s0": "h:1"})
-        assert loaded.shard("s0").primary.address == "h:1"
+        payload["format"] = tag
+        with pytest.raises(ShardMapError, match="unknown shard map format"):
+            ShardMap.from_wire(payload)
 
 
 class TestReplicaSets:

@@ -18,7 +18,6 @@ from repro.nameserver import (
     Replica,
     ReplicaRecoverer,
     abandon_recovery,
-    restore_replica,
 )
 from repro.nameserver.recover import (
     CUTOVER,
@@ -282,13 +281,3 @@ class TestAbandon:
         assert read_current_version(fs).number == version
         replica = Replica(fs, "reborn", clock=clock)
         assert entries(replica) == entries(source)
-
-
-class TestRestoreReplicaCompat:
-    def test_restore_replica_is_deprecated_but_works(self, clock):
-        source = make_source(clock)
-        fs = SimFS(clock=clock)
-        with pytest.warns(DeprecationWarning):
-            replica = restore_replica(fs, "reborn", source, clock=clock)
-        assert entries(replica) == entries(source)
-        assert replica.db.enquire(lambda root: root["replica"]) == "reborn"

@@ -8,7 +8,7 @@ from repro.nameserver import (
     RemoteNameServer,
     Replica,
     ReplicaGroup,
-    restore_replica,
+    ReplicaRecoverer,
 )
 from repro.rpc import LoopbackTransport, RpcServer
 from repro.sim import SimClock
@@ -145,7 +145,7 @@ class TestRestoration:
         group.converge()
         # b's disk dies beyond local recovery; rebuild from a.
         fs_b_new = SimFS(clock=SimClock())
-        restored = restore_replica(fs_b_new, "b", source=a)
+        restored = ReplicaRecoverer(fs_b_new, "b", [a]).run()
         assert restored.count() == 2
         assert restored.lookup("users/alice") == 1
         assert restored.summary() == a.summary()
@@ -158,7 +158,7 @@ class TestRestoration:
         a.propagate()
         a.bind("unpropagated", 2)  # never reaches b
         fs_new = SimFS(clock=SimClock())
-        restored = restore_replica(fs_new, "a", source=b)
+        restored = ReplicaRecoverer(fs_new, "a", [b]).run()
         assert restored.exists("propagated")
         assert not restored.exists("unpropagated")
 
@@ -168,7 +168,7 @@ class TestRestoration:
         a.bind("k1", 1)
         group.converge()
         fs_new = SimFS(clock=SimClock())
-        b2 = restore_replica(fs_new, "b", source=a)
+        b2 = ReplicaRecoverer(fs_new, "b", [a]).run()
         group2 = ReplicaGroup([a, b2, c])
         c.bind("k2", 2)
         b2.bind("k3", 3)
@@ -177,14 +177,16 @@ class TestRestoration:
         for replica in (a, b2, c):
             assert replica.count() == 3
 
-    def test_restore_wipes_damaged_files(self):
+    def test_restore_supersedes_damaged_files(self):
+        """Recovery runs in the damaged directory itself; nothing the old
+        files held survives the cutover."""
         fs_old = SimFS(clock=SimClock())
         damaged = Replica(fs_old, "x")
         damaged.bind("junk", 1)
         _, (source,) = make_replicas(1)
         source.bind("good", 2)
         damaged.close()
-        restored = restore_replica(fs_old, "x", source=source)
+        restored = ReplicaRecoverer(fs_old, "x", [source]).run()
         assert restored.exists("good")
         assert not restored.exists("junk")
 
@@ -195,7 +197,7 @@ class TestRestoration:
         a.bind("one", 1)
         a.propagate()
         fs_new = SimFS(clock=SimClock())
-        a2 = restore_replica(fs_new, "a", source=b)
+        a2 = ReplicaRecoverer(fs_new, "a", [b]).run()
         a2.bind("two", 2)  # must get a fresh (a, seq) id
         ids = [record[0] for record in a2.export_state()]
         assert len(ids) == len(set(ids)), f"duplicate update ids: {ids}"
