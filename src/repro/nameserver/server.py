@@ -307,8 +307,17 @@ def nameserver_interface(name: str = "NameServer") -> Interface:
     """The RPC interface; clients and servers generate stubs from this."""
     iface = Interface(name, version=1)
     path = ListOf(Str)
-    iface.method("lookup", params=[("path", path)], returns=Pickled())
-    iface.method("exists", params=[("path", path)], returns=Bool)
+    # The three bounded enquiries: one walk down the tree (or one copy of
+    # the version vector) under the shared lock, whatever the tree's size.
+    # Nothing whose cost grows with the tree (list_dir, count, glob, the
+    # replication and repair reads) is marked, and nothing that writes.
+    iface.method(
+        "lookup", params=[("path", path)], returns=Pickled(),
+        bounded_enquiry=True,
+    )
+    iface.method(
+        "exists", params=[("path", path)], returns=Bool, bounded_enquiry=True
+    )
     iface.method("list_dir", params=[("path", path)], returns=ListOf(Str))
     iface.method("read_subtree", params=[("path", path)], returns=Pickled())
     iface.method("count", returns=Int)
@@ -325,7 +334,7 @@ def nameserver_interface(name: str = "NameServer") -> Interface:
         params=[("path", path), ("entries", Pickled())],
         returns=Void,
     )
-    iface.method("summary", returns=DictOf(Str, Int))
+    iface.method("summary", returns=DictOf(Str, Int), bounded_enquiry=True)
     iface.method(
         "updates_since", params=[("vector", DictOf(Str, Int))], returns=Pickled()
     )

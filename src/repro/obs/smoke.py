@@ -34,6 +34,7 @@ REQUIRED_METRICS = (
     "db_log_fsyncs_total",         # commit path
     "db_update_seconds",           # core latency histogram
     "rpc_server_calls_total",      # RPC server
+    "rpc_server_dispatch_total",   # event loop: which thread ran a frame
     "rpc_reply_cache_misses_total",  # at-most-once machinery
     "replication_records_propagated_total",  # replication layer
     "storage_write_bytes_total",   # storage layer (LocalFS meter)
@@ -87,6 +88,12 @@ def run_smoke(out: TextIO = sys.stdout) -> int:
             updates = _sample(scrape, "db_updates_total")
             if updates is not None and updates < 6:  # 5 binds + 1 unbind
                 failures.append(f"db_updates_total={updates}, expected >= 6")
+            on_loop = _sample(scrape, 'rpc_server_dispatch_total{path="loop"}')
+            if on_loop is None or on_loop < 5:  # the 5 lookups
+                failures.append(
+                    f'rpc_server_dispatch_total{{path="loop"}}={on_loop}: the '
+                    "lookups did not run on the event loop"
+                )
 
             # -- check 2: one update is one cross-process trace tree ----------
             trace_id = client_tracer.last_trace_id()
@@ -281,7 +288,7 @@ def _counter_sum(snapshot: dict, family: str) -> float:
 
 
 def _sample(scrape: str, name: str) -> float | None:
-    """The value of an unlabelled sample in Prometheus text, if present."""
+    """The value of one sample (name plus any labels) in Prometheus text."""
     for line in scrape.splitlines():
         if line.startswith(f"{name} "):
             return float(line.split()[-1])

@@ -19,7 +19,12 @@ shape on the stdlib :mod:`selectors` module:
   another connection's ``enquire``;
 
 * dispatch runs on a small worker pool, so an fsync-bound ``update``
-  blocks a worker, not the loop;
+  blocks a worker, not the loop — except a method its interface declares
+  a ``bounded_enquiry`` (the name server's ``lookup``, for one), which
+  the loop thread runs to completion itself when the connection has
+  nothing else in flight: recv, dispatch and send on one thread, no
+  queue hand-off and no waker byte (:meth:`RpcServer.dispatch_enquiry`
+  says when it may; DESIGN.md, "Enquiries on the loop", says why);
 
 * a per-connection pipeline cap plus a write-backlog bound provide
   backpressure: an overloaded connection simply stops being read until
@@ -179,6 +184,14 @@ class EventLoopServer:
             "rpc_server_overload_pauses_total",
             "Connections paused for exceeding the pipeline/backlog caps.",
         )
+        dispatched = registry.counter(
+            "rpc_server_dispatch_total",
+            "Frames dispatched, by the thread that ran them: the event "
+            "loop itself (declared bounded enquiries) or the worker pool.",
+            labelnames=("path",),
+        )
+        self._dispatched_on_loop = dispatched.labels("loop")
+        self._dispatched_on_pool = dispatched.labels("pool")
         #: set when the listener died without stop() being called
         self.listener_failed = False
 
@@ -413,7 +426,17 @@ class EventLoopServer:
             conn.next_id += 1
             conn.in_flight += 1
             self._pipeline_depth.observe(conn.in_flight)
-            self._tasks.put((conn, request_id, payload))
+            # A declared enquiry on an otherwise idle connection runs
+            # here and is written back by this turn's _drain_completions;
+            # with other frames in flight the pool keeps request order
+            # what it always was.
+            if conn.in_flight == 1 and self._complete(
+                self.server.dispatch_enquiry, conn, request_id, payload
+            ):
+                self._dispatched_on_loop.inc()
+            else:
+                self._tasks.put((conn, request_id, payload))
+                self._dispatched_on_pool.inc()
         if offset:
             del buf[:offset]
         self._apply_backpressure(conn)
@@ -486,6 +509,13 @@ class EventLoopServer:
         conn.dead = True
         if reason:
             logger.warning("dropping connection: %s", reason)
+            if self.flight is not None:
+                self.flight.record(
+                    "rpc_connection_dropped",
+                    fd=conn.fd,
+                    reason=reason,
+                    in_flight=conn.in_flight,
+                )
         try:
             self._selector.unregister(conn.sock)
         except (KeyError, ValueError, OSError):
@@ -528,16 +558,28 @@ class EventLoopServer:
             conn, request_id, payload = task
             if conn.dead:
                 continue  # the connection went away while queued
-            try:
-                response: bytes | None = self.server.dispatch(payload)
-            except Exception:
-                # dispatch() answers bad input with error frames, so this
-                # is a server bug: close the connection, keep the loop.
-                self._connection_errors_metric.inc()
-                logger.exception("internal error serving connection")
-                response = None
-            self._completions.append((conn, request_id, response))
+            self._complete(self.server.dispatch, conn, request_id, payload)
             self._wake()
+
+    def _complete(self, dispatch, conn, request_id, payload) -> bool:
+        """Run ``dispatch`` and queue its response for the loop to write.
+
+        False means ``dispatch`` declined the request (only
+        ``dispatch_enquiry`` does) and nothing was queued.
+        """
+        try:
+            response: bytes | None = dispatch(payload)
+        except Exception:
+            # dispatch() answers bad input with error frames, so this
+            # is a server bug: close the connection, keep the loop.
+            self._connection_errors_metric.inc()
+            logger.exception("internal error serving connection")
+            response = None
+        else:
+            if response is None:
+                return False
+        self._completions.append((conn, request_id, response))
+        return True
 
     def _drain_completions(self) -> None:
         """Loop thread: move completed responses into ordered write buffers."""

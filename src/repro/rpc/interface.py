@@ -33,11 +33,14 @@ class MethodSpec:
         name: str,
         params: list[tuple[str, TypeExpr]],
         returns: TypeExpr,
+        bounded_enquiry: bool = False,
     ) -> None:
         self.interface_name = interface_name
         self.name = name
         self.params = list(params)
         self.returns = returns
+        #: see :meth:`Interface.method`
+        self.bounded_enquiry = bounded_enquiry
         (
             self.encode_args,
             self.decode_args,
@@ -76,11 +79,22 @@ class Interface:
         name: str,
         params: list[tuple[str, TypeExpr]] | None = None,
         returns: TypeExpr = Void,
+        bounded_enquiry: bool = False,
     ) -> MethodSpec:
-        """Declare a method; returns its spec (mostly for introspection)."""
+        """Declare a method; returns its spec (mostly for introspection).
+
+        ``bounded_enquiry`` is a promise about every implementation of the
+        method, in the paper's terms: it is an *enquiry* (read-only, under
+        at most the shared lock) whose cost does not grow with the size
+        of the data, and it makes no file-system call, waits on no commit
+        barrier and calls no peer.  A server may then run it to completion
+        on the thread that read the request instead of handing it to a
+        thread that is allowed to block (see
+        :meth:`repro.rpc.server.RpcServer.dispatch_enquiry`).
+        """
         if name in self.methods:
             raise ValueError(f"method {name!r} already declared")
-        spec = MethodSpec(self.name, name, params or [], returns)
+        spec = MethodSpec(self.name, name, params or [], returns, bounded_enquiry)
         prefix = bytearray()
         _encode_str(self.wire_name, prefix)
         _encode_str(name, prefix)

@@ -108,12 +108,14 @@ class ReplyCache:
         return int(self._evictions.value)
 
     @contextmanager
-    def client_lock(self, client_id: str):
+    def client_lock(self, client_id: str, blocking: bool = True):
         """Hold the per-client mutex serialising execution and cache updates.
 
         Holding it while executing means a duplicate that arrives during
         the original's execution *waits* and then hits the cache, instead
-        of racing into a second execution.
+        of racing into a second execution.  A caller that must not wait
+        passes ``blocking=False`` and is handed ``False`` instead of the
+        mutex when another thread holds it.
 
         The entry is refcounted for the duration of the ``with`` block, so
         an LRU eviction of this client (see :meth:`store`) can never
@@ -125,10 +127,13 @@ class ReplyCache:
             if entry is None:
                 entry = self._client_locks[client_id] = _ClientLock()
             entry.refs += 1
+        held = False
         try:
-            with entry.lock:
-                yield
+            held = entry.lock.acquire(blocking)
+            yield held
         finally:
+            if held:
+                entry.lock.release()
             with self._lock:
                 entry.refs -= 1
                 if entry.refs == 0 and client_id not in self._entries:
@@ -209,6 +214,9 @@ class RpcServer:
         # (wire_name, method) -> (spec, bound method, interface).  The
         # table is replaced wholesale under the lock and read without it.
         self._table: dict[tuple[str, str], tuple] = {}
+        #: request prefixes (wire name + method) of every exported method
+        #: declared ``bounded_enquiry``; rebuilt with the table
+        self._enquiry_prefixes: tuple[bytes, ...] = ()
         self._lock = threading.Lock()
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer
@@ -257,6 +265,7 @@ class RpcServer:
     def _rebuild_table(self) -> None:
         """Recompute the preresolved dispatch table (caller holds _lock)."""
         table: dict[tuple[str, str], tuple] = {}
+        enquiry_prefixes = []
         for wire_name, (interface, implementation) in self._exports.items():
             for method_name, spec in interface.methods.items():
                 table[(wire_name, method_name)] = (
@@ -264,7 +273,10 @@ class RpcServer:
                     getattr(implementation, method_name),
                     interface,
                 )
+                if spec.bounded_enquiry:
+                    enquiry_prefixes.append(spec.request_prefix)
         self._table = table
+        self._enquiry_prefixes = tuple(enquiry_prefixes)
 
     def exported_interfaces(self) -> list[str]:
         with self._lock:
@@ -282,6 +294,48 @@ class RpcServer:
             header, reader = decode_request_header(request)
         except Exception as exc:
             return _rpc_error(f"malformed request: {exc!r}")
+        span, timer = self._observe(header)
+        with span, timer:
+            if not header.client_id:
+                return self._execute(header, reader)
+            # At-most-once path: serialise per client so a duplicate
+            # arriving while the original executes waits, then hits the
+            # cache.
+            with self.reply_cache.client_lock(header.client_id):
+                return self._execute_once(header, reader, span)
+
+    def dispatch_enquiry(self, request: bytes) -> bytes | None:
+        """:meth:`dispatch` for a caller that must not block, or ``None``.
+
+        Serves ``request`` on the calling thread when it names a method
+        declared ``bounded_enquiry`` and the at-most-once path can take
+        the caller's reply-cache lock without waiting; the response is
+        byte for byte what :meth:`dispatch` would have produced.  ``None``
+        means nothing was executed or recorded and the request belongs
+        on a thread that may block — it is an update, an enquiry that
+        scans, malformed, or a retry whose original is still running.
+        """
+        # The header opens with wire name and method, which each declared
+        # spec precomputed: one startswith decides without decoding.
+        if not request.startswith(self._enquiry_prefixes):
+            return None
+        try:
+            header, reader = decode_request_header(request)
+        except Exception:
+            return None  # dispatch() words the error
+        if not header.client_id:
+            span, timer = self._observe(header)
+            with span, timer:
+                return self._execute(header, reader)
+        with self.reply_cache.client_lock(header.client_id, blocking=False) as held:
+            if not held:
+                return None
+            span, timer = self._observe(header)
+            with span, timer:
+                return self._execute_once(header, reader, span)
+
+    def _observe(self, header):
+        """The span and the latency timer one served call runs under."""
         # Join the caller's trace (the header carries its span context);
         # entering the span makes it the parent of everything the
         # implementation records — lock waits, log appends, fsyncs.
@@ -297,28 +351,23 @@ class RpcServer:
             series = self._method_series[header.method] = (
                 self._method_seconds.labels(header.method)
             )
-        with span, series.time():
-            return self._dispatch_deduplicated(header, reader, span)
+        return span, series.time()
 
-    def _dispatch_deduplicated(self, header, reader, span) -> bytes:
-        if not header.client_id:
-            return self._execute(header, reader)
-        # At-most-once path: serialise per client so a duplicate arriving
-        # while the original executes waits, then hits the cache.
-        with self.reply_cache.client_lock(header.client_id):
-            verdict, cached = self.reply_cache.probe(header.client_id, header.seq)
-            if verdict != ReplyCache.NEW:
-                span.set("reply_cache", verdict)
-            if verdict == ReplyCache.CACHED:
-                return cached  # type: ignore[return-value]
-            if verdict == ReplyCache.STALE:
-                return _rpc_error(
-                    f"stale call: seq {header.seq} for client "
-                    f"{header.client_id!r} was superseded"
-                )
-            response = self._execute(header, reader)
-            self.reply_cache.store(header.client_id, header.seq, response)
-            return response
+    def _execute_once(self, header, reader, span) -> bytes:
+        """Answer an identified call (caller holds its client lock)."""
+        verdict, cached = self.reply_cache.probe(header.client_id, header.seq)
+        if verdict != ReplyCache.NEW:
+            span.set("reply_cache", verdict)
+        if verdict == ReplyCache.CACHED:
+            return cached  # type: ignore[return-value]
+        if verdict == ReplyCache.STALE:
+            return _rpc_error(
+                f"stale call: seq {header.seq} for client "
+                f"{header.client_id!r} was superseded"
+            )
+        response = self._execute(header, reader)
+        self.reply_cache.store(header.client_id, header.seq, response)
+        return response
 
     def _execute(self, header, reader) -> bytes:
         """One actual execution: unmarshal, call, marshal."""
