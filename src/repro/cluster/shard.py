@@ -347,11 +347,8 @@ class ShardService:
     def apply_remote(self, records):
         return self.server.apply_remote(records)
 
-    def export_state(self):
-        return self.server.export_state()
-
-    def snapshot_manifest(self):
-        return self.server.snapshot_manifest()
+    def snapshot_manifest(self, fresh=False):
+        return self.server.snapshot_manifest(fresh)
 
     def snapshot_chunk(self, version, offset, length):
         return self.server.snapshot_chunk(version, offset, length)

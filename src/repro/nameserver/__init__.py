@@ -15,6 +15,7 @@ from repro.nameserver.management import (
 )
 from repro.nameserver.errors import (
     BadPath,
+    HistoryTruncated,
     NameExists,
     NameNotFound,
     NameServerError,
@@ -66,6 +67,7 @@ __all__ = [
     "AllPeersUnavailable",
     "BadPath",
     "CircuitBreaker",
+    "HistoryTruncated",
     "Leaf",
     "MANAGEMENT_INTERFACE",
     "ManagementService",

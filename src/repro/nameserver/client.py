@@ -87,13 +87,10 @@ class RemoteNameServer:
     def apply_remote(self, records: list) -> int:
         return self._proxy.apply_remote(records)
 
-    def export_state(self) -> list:
-        return self._proxy.export_state()
-
     # -- replica repair hooks ----------------------------------------------------
 
-    def snapshot_manifest(self) -> dict:
-        return self._proxy.snapshot_manifest()
+    def snapshot_manifest(self, fresh: bool = False) -> dict:
+        return self._proxy.snapshot_manifest(bool(fresh))
 
     def snapshot_chunk(self, version: int, offset: int, length: int) -> dict:
         return self._proxy.snapshot_chunk(

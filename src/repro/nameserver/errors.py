@@ -8,6 +8,8 @@ interface so remote clients receive the same exception types.
 
 from __future__ import annotations
 
+import json
+
 from repro.core.errors import PreconditionFailed
 
 
@@ -53,6 +55,25 @@ class SnapshotGone(NameServerError):
                 f"snapshot version {version} is no longer on disk "
                 f"(the peer checkpointed past it)"
             )
+
+
+class HistoryTruncated(NameServerError):
+    """Records can no longer catch the asking replica up.
+
+    Raised by ``updates_since`` when, for some origin in ``origins``,
+    the record after the asker's version vector has left the bounded
+    history window.  The link and the answering replica are fine; the
+    asker is too far behind and must be caught up by state —
+    :class:`~repro.nameserver.recover.ReplicaRecoverer`'s snapshot plus
+    log tail.  The origins cross the wire as JSON inside the message:
+    "no longer reaches" the record each of them would have to send next.
+    """
+
+    def __init__(self, origins) -> None:
+        if isinstance(origins, str):  # reconstructed from a remote message
+            origins = json.loads(origins[origins.index("[") :])
+        self.origins = sorted(origins)
+        super().__init__(f"history window no longer reaches {json.dumps(self.origins)}")
 
 
 def format_path(path) -> str:

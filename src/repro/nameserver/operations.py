@@ -9,9 +9,13 @@ All updates flow through exactly two registered operations:
   ids and stamps — the determinism the replay contract requires.
 
 * ``ns_remote`` — a batch of updates received from a peer replica.
-  Idempotent (already-applied ids are skipped) and commutative per name
-  (last-writer-wins by ``(lamport, origin)``), which is what lets the
-  anti-entropy protocol run in any order and still converge.
+  A record is applied only when it is its origin's *next* one
+  (``seq == vector[origin] + 1``): a duplicate or an early record is
+  skipped, the vector does not move, and the sender offers it again.
+  Every version vector is therefore a contiguous prefix of each origin's
+  updates — the vector alone says what has been applied.  Per name the
+  result is last-writer-wins by ``(lamport, origin)``, so any
+  interleaving that keeps each origin's records in order converges.
 
 Two further operations serve replica repair (they do not originate new
 history records):
@@ -36,10 +40,16 @@ The database root is a dictionary::
         "lamport":  int,                  # Lamport clock
         "next_seq": int,                  # local update counter
         "tree":     Node,                 # the tree of hash tables
-        "applied":  set[(origin, seq)],   # update ids seen
-        "vector":   {origin: max seq},    # version vector (for sync)
+        "vector":   {origin: max seq},    # version vector: per origin,
+                                          # updates 1..seq are applied
         "history":  [(id, lamport, action, params), ...],
     }
+
+``history`` is a retransmission *window*, not an archive: the newest
+``HISTORY_WINDOW`` to ``2 * HISTORY_WINDOW - 1`` records, each origin's
+in ``seq`` order.  A replica that has fallen behind the window is caught
+up by state (:class:`~repro.nameserver.recover.ReplicaRecoverer`), and
+:func:`updates_since` says so with a typed :class:`HistoryTruncated`.
 
 Actions (the ``action``/``params`` pairs):
 
@@ -56,7 +66,7 @@ Actions (the ``action``/``params`` pairs):
 from __future__ import annotations
 
 from repro.core.transactions import OperationRegistry
-from repro.nameserver.errors import BadPath, NameExists, NameNotFound
+from repro.nameserver.errors import BadPath, HistoryTruncated, NameExists, NameNotFound
 from repro.nameserver.tree import (
     Leaf,
     Node,
@@ -74,6 +84,12 @@ NAMESERVER_OPS = OperationRegistry()
 #: A history record: (update id, lamport, action, params)
 Record = tuple[tuple[str, int], int, str, tuple]
 
+#: Records the history keeps for retransmission.  ``_record`` cuts the
+#: list back to this many whenever it reaches twice this many, so a
+#: replica may miss at least this many updates and still catch up record
+#: by record; beyond it, it is recovered from a snapshot.
+HISTORY_WINDOW = 1024
+
 
 def new_root(replica_id: str = "primary") -> dict:
     """A fresh name server database root."""
@@ -84,7 +100,6 @@ def new_root(replica_id: str = "primary") -> dict:
         "lamport": 0,
         "next_seq": 1,
         "tree": Node(),
-        "applied": set(),
         "vector": {},
         "history": [],
     }
@@ -137,11 +152,10 @@ def ns_remote(root: dict, records: list[Record]) -> int:
     """Apply a batch of peer updates; returns how many were new."""
     fresh = 0
     for update_id, lamport, action, params in records:
-        update_id = tuple(update_id)
-        if update_id in root["applied"]:
-            continue
+        origin, seq = update_id = tuple(update_id)
+        if seq != root["vector"].get(origin, 0) + 1:
+            continue  # a duplicate, or early: the sender offers it again
         root["lamport"] = max(root["lamport"], lamport)
-        origin, seq = update_id
         if origin == root["replica"] and seq >= root["next_seq"]:
             # A restored replica re-learns its own past updates from a
             # peer; later local updates must not reuse those ids.
@@ -157,16 +171,17 @@ def ns_identity(root: dict, replica_id: str) -> None:
     """Reclaim ``replica_id`` as this root's own identity after a restore.
 
     Deterministic in root + args (the replay contract): the new
-    ``next_seq`` continues from whatever the imported state has already
-    seen from this origin, so re-learned own updates are never reissued
-    under a reused id.
+    ``next_seq`` continues exactly where the imported state's knowledge
+    of this origin ends, so re-learned own updates are never reissued
+    under a reused id and the first new one is the ``vector + 1`` every
+    peer's in-order rule is waiting for (the donor's own counter, which
+    the imported root carries, is another origin's and must not leak in
+    as a gap).
     """
     if not replica_id:
         raise ValueError("replica_id must be non-empty")
     root["replica"] = replica_id
-    root["next_seq"] = max(
-        root["next_seq"], root["vector"].get(replica_id, 0) + 1
-    )
+    root["next_seq"] = root["vector"].get(replica_id, 0) + 1
 
 
 #: A repair leaf: (path, value, lamport, origin, deleted)
@@ -179,7 +194,7 @@ def ns_repair(root: dict, leaves: list[RepairLeaf]) -> int:
 
     Unlike ``ns_remote`` this ships *state*, not history: the winning
     leaf is written even when the local stamp ties it, using the digest
-    tiebreak below.  History, ``applied`` and the version vector are
+    tiebreak below.  History and the version vector are
     untouched — repair fixes silent divergence without inventing update
     records.
 
@@ -261,11 +276,18 @@ def _repair_wins(incoming: Leaf, existing: Leaf | None) -> bool:
 def _record(
     root: dict, update_id: tuple[str, int], lamport: int, action: str, params: tuple
 ) -> None:
-    root["applied"].add(update_id)
+    """Note one applied update: advance the vector, extend the window.
+
+    A pure function of the root (the replay contract), pruning included:
+    replaying a log regenerates the identical window.
+    """
+    root.pop("applied", None)  # roots written before the window kept one
     origin, seq = update_id
-    if seq > root["vector"].get(origin, 0):
-        root["vector"][origin] = seq
-    root["history"].append((update_id, lamport, action, params))
+    root["vector"][origin] = seq
+    history = root["history"]
+    history.append((update_id, lamport, action, params))
+    if len(history) >= 2 * HISTORY_WINDOW:
+        del history[:-HISTORY_WINDOW]
 
 
 def _validate(path: object) -> Path:
@@ -327,9 +349,26 @@ def _set_leaf(
 
 
 def updates_since(root: dict, vector: dict[str, int]) -> list[Record]:
-    """History records the holder of ``vector`` has not seen."""
-    return [
-        record
-        for record in root["history"]
-        if record[0][1] > vector.get(record[0][0], 0)
-    ]
+    """History records the holder of ``vector`` has not seen.
+
+    Walks the window backwards until every lagging origin's *next*
+    record (``vector + 1``) has been passed — each origin's records sit
+    in ``seq`` order, so everything it lacks lies after that point and
+    the cost is proportional to what is missing, not to the window.
+    Raises :class:`HistoryTruncated` when a next record has already left
+    the window: records can no longer catch that replica up.
+    """
+    behind = {o for o, seq in root["vector"].items() if seq > vector.get(o, 0)}
+    if not behind:
+        return []
+    missing = []
+    for record in reversed(root["history"]):
+        origin, seq = record[0]
+        ahead = seq - vector.get(origin, 0)
+        if ahead > 0:
+            missing.append(record)
+            if ahead == 1:
+                behind.discard(origin)
+                if not behind:
+                    return missing[::-1]
+    raise HistoryTruncated(behind)

@@ -48,7 +48,11 @@ partially fetched one continues at its durable byte offset, and a crash
 after the commit point just finishes the tidy-up.  If the serving peer
 checkpoints past the version being streamed, the typed
 :class:`~repro.nameserver.errors.SnapshotGone` answer sends the stage
-machine back to PLANNING against the peer's new checkpoint.
+machine back to PLANNING against the peer's new checkpoint.  If the
+peer's history window no longer reaches back to the checkpoint it shipped
+(more than a window of updates since, and no checkpoint policy), LOG_TAIL
+gets the typed :class:`~repro.nameserver.errors.HistoryTruncated` and
+PLANNING runs again against a checkpoint the peer takes on request.
 
 Observability: a ``recovery_stage`` gauge, stage-transition / bytes /
 entries / retry counters, and flight-recorder events
@@ -73,7 +77,7 @@ from repro.core.version import (
     numbered_files,
     read_current_version,
 )
-from repro.nameserver.errors import SnapshotGone
+from repro.nameserver.errors import HistoryTruncated, SnapshotGone
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.pickles import DEFAULT_REGISTRY, pickle_read, pickle_write
@@ -274,25 +278,29 @@ class ReplicaRecoverer:
 
     def _run_stages(self):
         restarts = 0
+        fresh = False
         while True:
             try:
-                plan, start = self._stage_planning()
+                plan, start = self._stage_planning(fresh)
                 if start == SNAPSHOT:
                     self._stage_snapshot(plan)
                     start = LOG_TAIL
                 if start == LOG_TAIL:
                     self._stage_log_tail(plan)
                 return self._stage_cutover(plan)
-            except SnapshotGone as exc:
-                # The peer checkpointed past the version being streamed;
-                # discard the partial download and renegotiate.
+            except (SnapshotGone, HistoryTruncated) as exc:
+                # The peer checkpointed past the version being streamed,
+                # or its history no longer reaches back to the version
+                # shipped; discard the download and renegotiate — in the
+                # second case against a checkpoint taken for us.
                 restarts += 1
                 self.report.plan_restarts += 1
                 if restarts > self.stage_retries:
                     raise RecoveryFailed(
-                        SNAPSHOT,
-                        f"snapshot vanished {restarts} times: {exc}",
+                        self.report.stages[-1],
+                        f"plan invalidated {restarts} times: {exc}",
                     ) from exc
+                fresh = isinstance(exc, HistoryTruncated)
                 self._discard_staged()
         # NOTREACHED
 
@@ -323,8 +331,11 @@ class ReplicaRecoverer:
 
     # -- PLANNING --------------------------------------------------------------
 
-    def _stage_planning(self) -> tuple[RecoveryPlan, str]:
-        """Negotiate (or resume) a plan; returns it plus the stage to run next."""
+    def _stage_planning(self, fresh: bool = False) -> tuple[RecoveryPlan, str]:
+        """Negotiate (or resume) a plan; returns it plus the stage to run next.
+
+        ``fresh`` has the chosen peer checkpoint before it answers.
+        """
         self._enter_stage(PLANNING)
         state = self._load_state()
         if state is not None:
@@ -340,6 +351,9 @@ class ReplicaRecoverer:
         # earlier abandoned recovery's) must not block our commit point.
         self.fs.delete_if_exists(NEWVERSION_FILE)
         peer_index, manifest = self._pick_peer()
+        if fresh:
+            peer = self.peers[peer_index]
+            manifest = self._retrying(PLANNING, lambda: peer.snapshot_manifest(True))
         plan = RecoveryPlan(
             peer_index=peer_index,
             peer_id=str(manifest["replica_id"]),

@@ -14,8 +14,11 @@ Two of the three mechanisms live here:
 * **eager propagation** — after local updates, push the new history
   records to every reachable peer (best effort; failures are tolerated);
 * **anti-entropy** — periodic pairwise reconciliation by version vector:
-  each side fetches exactly the records it lacks.  Updates are idempotent
-  and last-writer-wins per name, so any gossip order converges.
+  each side fetches exactly the records it lacks.  Each origin's records
+  are applied in order, duplicates are skipped and names resolve
+  last-writer-wins, so any gossip order converges.  The history that
+  serves this is a bounded window: a replica further behind than that
+  gets a typed :class:`HistoryTruncated` and is caught up by state.
 
 The third, **restoration** — rebuilding a replica whose local recovery
 failed from a peer's checkpoint and log tail — is
@@ -32,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.errors import DatabaseDegraded
+from repro.nameserver.errors import HistoryTruncated
 from repro.nameserver.server import NameServer
 from repro.obs.metrics import MetricsRegistry
 from repro.rpc.errors import CallMaybeExecuted, TransportError
@@ -66,6 +70,10 @@ class Replica(NameServer):
         #: --cluster`` can show a failing peer link at a glance.
         self.peer_breakers: dict[str, CircuitBreaker] = {}
         self.peer_errors: dict[str, str | None] = {}
+        #: peers on the far side of a history window: "push" — the peer
+        #: is behind ours, "pull" — we are behind the peer's.  Either way
+        #: records cannot close the gap; the one behind needs recovery.
+        self.peer_truncated: dict[str, str] = {}
         # Registered eagerly on the database's registry so a node's
         # Prometheus export shows the replication layer from the start.
         registry = self.db.registry
@@ -81,6 +89,16 @@ class Replica(NameServer):
             "replication_records_pulled_total",
             "History records pulled from peers by anti-entropy.",
         )
+        self._history_records = registry.gauge(
+            "replication_history_records",
+            "Records in the history window, as of the last propagation round.",
+        )
+        truncated = registry.counter(
+            "replication_history_truncated_total",
+            "Exchanges refused: one end is behind the other's history window.",
+            labelnames=("direction",),
+        )
+        self._truncated = {d: truncated.labels(d) for d in ("push", "pull")}
 
     @property
     def propagation_failures(self) -> int:
@@ -106,9 +124,20 @@ class Replica(NameServer):
                 "consecutive_failures": breaker.consecutive_failures,
                 "times_opened": breaker.times_opened,
                 "last_error": self.peer_errors.get(peer_id),
+                "truncated": self.peer_truncated.get(peer_id),
             }
             for peer_id, breaker in self.peer_breakers.items()
         }
+
+    def _note_truncated(self, peer, direction: str, exc: HistoryTruncated) -> None:
+        """Record that records can no longer reconcile us with ``peer``."""
+        peer_id = self._peer_ids[self.peers.index(peer)]
+        self.peer_truncated[peer_id] = direction
+        self.peer_errors[peer_id] = repr(exc)
+        self._truncated[direction].inc()
+        self.db.flight.record(
+            "replication_history_truncated", peer=peer_id, origins=",".join(exc.origins)
+        )
 
     # -- propagation -----------------------------------------------------------
 
@@ -116,9 +145,12 @@ class Replica(NameServer):
         """Push everything each peer lacks; returns records delivered.
 
         Best-effort, exactly as the paper accepts: a peer that is down
-        simply misses this round and is healed later by anti-entropy.
+        simply misses this round and is healed later by anti-entropy.  A
+        peer behind the history window is noted as needing recovery; its
+        link is fine, so its breaker is left alone.
         """
         delivered = 0
+        self._history_records.set(self.db.enquire(lambda root: len(root["history"])))
         for peer_id, peer in zip(self._peer_ids, self.peers):
             breaker = self.peer_breakers[peer_id]
             breaker.allow()  # advance open -> half-open once timed out
@@ -131,6 +163,9 @@ class Replica(NameServer):
                     self._records_propagated.inc(len(missing))
                 breaker.record_success()
                 self.peer_errors[peer_id] = None
+                self.peer_truncated.pop(peer_id, None)
+            except HistoryTruncated as exc:
+                self._note_truncated(peer, "push", exc)
             except Exception as exc:
                 self._propagation_failures.inc()
                 breaker.record_failure()
@@ -140,10 +175,20 @@ class Replica(NameServer):
     # -- anti-entropy -------------------------------------------------------------
 
     def sync_from(self, peer: object) -> int:
-        """Pull updates this replica lacks from ``peer``; returns count."""
+        """Pull updates this replica lacks from ``peer``; returns count.
+
+        Only a communication failure becomes :class:`PeerUnavailable`; a
+        typed answer from a live peer propagates as itself —
+        :class:`HistoryTruncated` (noted first, when ``peer`` is a
+        registered one) tells the caller this replica needs recovery.
+        """
         try:
             missing = peer.updates_since(self.summary())
-        except Exception as exc:
+        except HistoryTruncated as exc:
+            if peer in self.peers:
+                self._note_truncated(peer, "pull", exc)
+            raise
+        except (CallMaybeExecuted, *COMMUNICATION_ERRORS) as exc:
             raise PeerUnavailable(f"sync failed: {exc!r}") from exc
         if not missing:
             return 0
@@ -157,7 +202,7 @@ class Replica(NameServer):
         try:
             missing = self.updates_since(peer.summary())
             pushed = peer.apply_remote(missing) if missing else 0
-        except Exception as exc:
+        except (CallMaybeExecuted, *COMMUNICATION_ERRORS) as exc:
             raise PeerUnavailable(f"push failed: {exc!r}") from exc
         return pulled, pushed
 
@@ -433,6 +478,9 @@ class SyncReport:
     peers_synced: int = 0
     peers_skipped: list[str] = field(default_factory=list)
     peers_failed: list[str] = field(default_factory=list)
+    #: reachable, but behind their source's history window: only replica
+    #: recovery (snapshot + log tail) can catch them up
+    peers_need_recovery: list[str] = field(default_factory=list)
     #: pairs whose version vectors agreed but whose tree digests did not
     tree_mismatches: int = 0
     #: bindings force-converged by the Merkle repair walk this round
@@ -749,7 +797,8 @@ class ResilientReplicaGroup:
 
         Each live peer pulls from its nearest live ring successor; broken
         peers are reported in the result instead of aborting the round
-        (contrast :meth:`ReplicaGroup.anti_entropy_round`).
+        (contrast :meth:`ReplicaGroup.anti_entropy_round`), and so are
+        peers that are behind their source's history window.
         """
         report = SyncReport()
         live = self._available()
@@ -767,6 +816,12 @@ class ResilientReplicaGroup:
                 self._tree_repair_pass(
                     peer_id, peer, source_id, source, peer_vector, report
                 )
+            except HistoryTruncated as exc:
+                # Both links work, so no breaker moves; more rounds of
+                # gossip cannot help this peer either.
+                self.last_errors[peer_id] = repr(exc)
+                report.peers_need_recovery.append(peer_id)
+                continue
             except (CallMaybeExecuted, *COMMUNICATION_ERRORS) as exc:
                 # An ambiguous apply_remote is tolerable here: remote
                 # apply is idempotent (version-vector filtered), so the

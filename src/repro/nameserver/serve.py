@@ -251,8 +251,13 @@ class Node:
                     self.unreachable_peers.remove(address)
             if (
                 self.options.auto_recover
-                and self.replica.db.health != "healthy"
                 and self.replica.peers
+                and (
+                    self.replica.db.health != "healthy"
+                    # gossip cannot close a gap wider than a peer's
+                    # history window; state transfer can
+                    or "pull" in self.replica.peer_truncated.values()
+                )
             ):
                 try:
                     self.recover()
@@ -264,7 +269,10 @@ class Node:
                 try:
                     self.replica.sync_from(peer)
                 except Exception:
-                    continue  # peer down; next round will retry
+                    # Peer down: next round will retry.  Or this replica
+                    # is behind the peer's history window, which it has
+                    # noted: next round recovers (or goes on serving).
+                    continue
 
     def recover(self) -> dict:
         """Rebuild this node's replica from its peers; returns the report.
@@ -275,8 +283,9 @@ class Node:
         replica on the same directory — and the node's RPC exports and
         checkpoint daemon are re-wired to the rebuilt instance, so
         clients never see a different address, only a brief refusal
-        window while stages run.  If recovery fails the original
-        (degraded) database is reopened and keeps serving enquiries.
+        window while stages run.  If recovery fails — or no peer took the
+        hand-over a healthy node owes first — the original database is
+        reopened and keeps serving.
         """
         from dataclasses import asdict
 
@@ -287,8 +296,20 @@ class Node:
                 raise RuntimeError(
                     "replica recovery needs at least one connected peer"
                 )
-            peers = list(self.replica.peers)
+            peers = donors = list(self.replica.peers)
             monitor = self.replica.db.health_monitor
+            if monitor.degrade("rebuilding from a peer", reason="recovery"):
+                # A healthy node — behind a peer's history window, or the
+                # operator's call.  Cutover replaces this directory with a
+                # peer's state, so first refuse new updates, let those in
+                # flight land, and hand the peers whatever only this node
+                # holds; a peer that push did not reach is no donor
+                # (``peer_errors`` is in ``add_peer`` order, like ``peers``).
+                with self.replica.db.lock.update():
+                    pass
+                self.replica.propagate()
+                errors = self.replica.peer_errors.values()
+                donors = [peer for peer, error in zip(peers, errors) if error is None]
             try:
                 self.replica.close()
             except Exception:
@@ -296,16 +317,16 @@ class Node:
             if self.checkpoint_daemon is not None:
                 self.checkpoint_daemon.stop()
                 self.checkpoint_daemon = None
-            recoverer = ReplicaRecoverer(
-                self._fs,
-                self.options.replica_id,
-                peers,
-                registry=self.registry,
-                flight=self.flight,
-                health_monitor=monitor,
-                db_options=self._db_options,
-            )
             try:
+                recoverer = ReplicaRecoverer(
+                    self._fs,
+                    self.options.replica_id,
+                    donors,
+                    registry=self.registry,
+                    flight=self.flight,
+                    health_monitor=monitor,
+                    db_options=self._db_options,
+                )
                 replica = recoverer.run()
             except Exception:
                 # The staged files are invisible to restarts; reopen the

@@ -25,6 +25,7 @@ from repro.core.errors import DatabaseDegraded
 from repro.core.version import checkpoint_name
 from repro.nameserver.errors import (
     BadPath,
+    HistoryTruncated,
     NameExists,
     NameNotFound,
     SnapshotGone,
@@ -160,8 +161,11 @@ class NameServer:
         return self.db.enquire(lambda root: dict(root["vector"]))
 
     def updates_since(self, vector: dict[str, int]) -> list:
-        """History records the holder of ``vector`` lacks."""
-        return self.db.enquire(lambda root: list(_updates_since(root, vector)))
+        """History records the holder of ``vector`` lacks.
+
+        Raises :class:`HistoryTruncated` when they have left the window.
+        """
+        return self.db.enquire(lambda root: _updates_since(root, vector))
 
     def apply_remote(self, records: list) -> int:
         """Apply peer updates; idempotent; returns the number applied."""
@@ -169,21 +173,23 @@ class NameServer:
             return 0
         return self.db.update("ns_remote", records)
 
-    def export_state(self) -> list:
-        """Complete history for replica restoration after a hard error."""
-        return self.db.enquire(lambda root: list(root["history"]))
-
     # -- replica repair hooks --------------------------------------------------
 
-    def snapshot_manifest(self) -> dict:
+    def snapshot_manifest(self, fresh: bool = False) -> dict:
         """What a recovering peer needs to plan against this replica.
 
         The checkpoint named here is write-once: its size is stable for
         as long as the file exists, and a later checkpoint switch makes
         ``snapshot_chunk`` raise :class:`SnapshotGone` rather than serve
         a different file under the same version number.
+
+        ``fresh`` takes a checkpoint first: a recoverer asks for one when
+        this replica's history window no longer reaches back to its last
+        checkpoint, so that snapshot plus records could never meet.
         """
         db = self.db
+        if fresh:
+            db.checkpoint()
         version = db.version
         try:
             nbytes = db.fs.size(checkpoint_name(version))
@@ -339,11 +345,10 @@ def nameserver_interface(name: str = "NameServer") -> Interface:
         "updates_since", params=[("vector", DictOf(Str, Int))], returns=Pickled()
     )
     iface.method("apply_remote", params=[("records", Pickled())], returns=Int)
-    iface.method("export_state", returns=Pickled())
     # Replica repair: snapshot shipping + anti-entropy tree comparison.
     # Dispatch is by method name, so extending the interface stays wire-
     # compatible with peers that predate it (they answer UnknownMethod).
-    iface.method("snapshot_manifest", returns=Pickled())
+    iface.method("snapshot_manifest", params=[("fresh", Bool)], returns=Pickled())
     iface.method(
         "snapshot_chunk",
         params=[("version", Int), ("offset", Int), ("length", Int)],
@@ -368,6 +373,9 @@ def nameserver_interface(name: str = "NameServer") -> Interface:
     # A checkpoint switch mid-download invalidates the streamed version;
     # the recoverer renegotiates its plan on this typed signal.
     iface.error(SnapshotGone)
+    # The asker is behind the history window: the answer to a recoverable
+    # condition (catch up by snapshot), not a server fault.
+    iface.error(HistoryTruncated)
     return iface
 
 

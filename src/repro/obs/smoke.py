@@ -37,6 +37,8 @@ REQUIRED_METRICS = (
     "rpc_server_dispatch_total",   # event loop: which thread ran a frame
     "rpc_reply_cache_misses_total",  # at-most-once machinery
     "replication_records_propagated_total",  # replication layer
+    "replication_history_records",  # its bounded retransmission window
+    "replication_history_truncated_total",  # ...and peers that fell behind it
     "storage_write_bytes_total",   # storage layer (LocalFS meter)
     "storage_fsync_seconds",       # storage latency histogram
 )

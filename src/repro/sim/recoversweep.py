@@ -30,6 +30,14 @@ across every stage boundary, so two quantifications apply:
    version* — the half-shipped snapshot is invisible — and a fresh
    recoverer must resume and complete with the source's exact state.
 
+3. **The wedge.**  Both quantifications again (``wedged=True``) against
+   a source that has taken more than ``2 * HISTORY_WINDOW`` updates since
+   its last checkpoint and has no checkpoint policy: its history window
+   no longer reaches back to the snapshot it ships, so LOG_TAIL meets
+   :class:`~repro.nameserver.errors.HistoryTruncated` and the recoverer
+   must renegotiate — once — against a checkpoint the source takes on
+   request, under the same faults and crashes.
+
 Run standalone (the CI job does)::
 
     PYTHONPATH=src python -m repro.sim.recoversweep
@@ -43,6 +51,7 @@ from dataclasses import asdict, dataclass, field
 from repro.core import HEALTHY
 from repro.core.version import read_current_version
 from repro.nameserver.client import RemoteNameServer
+from repro.nameserver.operations import HISTORY_WINDOW
 from repro.nameserver.recover import RecoveryFailed, ReplicaRecoverer
 from repro.nameserver.replication import Replica
 from repro.nameserver.server import NAMESERVER_INTERFACE
@@ -152,6 +161,7 @@ class RecoverySweep:
         kinds: tuple[str, ...] = SWEEP_KINDS,
         chunk_size: int = 96,
         stage_retries: int = 3,
+        wedged: bool = False,
     ) -> None:
         unknown = set(kinds) - set(SWEEP_KINDS)
         if unknown:
@@ -160,6 +170,8 @@ class RecoverySweep:
         #: small on purpose: several snapshot_chunk RPCs per recovery
         self.chunk_size = chunk_size
         self.stage_retries = stage_retries
+        #: the source's history window has moved past its last checkpoint
+        self.wedged = wedged
 
     # -- one recovery world ----------------------------------------------------
 
@@ -173,6 +185,9 @@ class RecoverySweep:
         source.checkpoint()
         for path, value in SOURCE_TAIL:
             source.bind(path, value)
+        if self.wedged:
+            for n in range(2 * HISTORY_WINDOW):
+                source.bind("cfg/generation", n)
         rpc = RpcServer()
         rpc.export(NAMESERVER_INTERFACE, source)
         inner = LoopbackTransport(rpc, clock=clock, network=LAN_1987)
@@ -417,27 +432,32 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 
-    sweep = RecoverySweep(kinds=tuple(args.kinds))
-    result = sweep.run(max_events=args.max_events)
+    kinds = tuple(args.kinds)
+    result = RecoverySweep(kinds).run(args.max_events)
     print(result.summary())
+    # Bigger pages for the wedge: its second snapshot carries a window of
+    # history, and the chunk loop is already swept above.
+    wedge = RecoverySweep(kinds, chunk_size=8192, wedged=True).run(args.max_events)
+    print("history-window wedge: " + wedge.summary())
+    outcomes = result.outcomes + wedge.outcomes
     if args.verbose:
-        for outcome in result.outcomes:
+        for outcome in outcomes:
             status = "FAIL" if outcome.failure else "ok"
             print(
                 f"  {outcome.mode:7s} {outcome.fault_at:3d} "
                 f"{outcome.kind:6s} fired={outcome.fired} "
                 f"resumed={outcome.resumed} {status}"
             )
-    for outcome in result.failures:
+    for outcome in result.failures + wedge.failures:
         print(
             f"FAIL {outcome.mode} fault {outcome.fault_at} "
             f"kind={outcome.kind}: {outcome.failure}"
         )
     if args.report is not None:
         with open(args.report, "w", encoding="ascii") as f:
-            json.dump(result.report(), f, indent=2)
+            json.dump({**result.report(), "wedge": wedge.report()}, f, indent=2)
         print(f"report written to {args.report}")
-    return 1 if result.failures else 0
+    return 1 if result.failures or wedge.failures else 0
 
 
 if __name__ == "__main__":

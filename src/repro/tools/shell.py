@@ -56,6 +56,7 @@ from repro.nameserver import (
 from repro.nameserver.management import ManagementService
 from repro.obs import build_tree, format_tree
 from repro.storage.localfs import LocalFS
+from repro.tools.top import peer_links
 
 
 def parse_value(text: str) -> object:
@@ -210,10 +211,7 @@ class Shell:
                     )
                 else:
                     state = "?"
-                breakers = ",".join(
-                    f"{pid}={info.get('state', '?')}"
-                    for pid, info in sorted((probe.get("peers") or {}).items())
-                )
+                breakers = peer_links(probe.get("peers") or {})
                 self._print(
                     f"    {replica.replica_id:<12} "
                     f"{shard.role_of(replica.replica_id):<10} "

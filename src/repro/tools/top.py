@@ -158,6 +158,21 @@ _CLUSTER_HISTOGRAMS = (
 )
 
 
+#: a link that works, with one end behind the other's history window
+_WINDOW_NOTES = {
+    "push": "behind the history window — needs recovery",
+    "pull": "this replica is behind its history window — needs recovery",
+}
+
+
+def peer_links(peers: dict) -> str:
+    """``peer=state,…`` for the peer links in one replica's ``status()``."""
+    return ",".join(
+        f"{pid}={_WINDOW_NOTES.get(info.get('truncated'), info.get('state', '?'))}"
+        for pid, info in sorted(peers.items())
+    )
+
+
 def render_cluster(
     health: dict,
     previous: dict | None = None,
@@ -229,11 +244,7 @@ def render_cluster(
                 if rep.get("reachable")
                 else "DOWN"
             )
-            peers = rep.get("peers") or {}
-            breakers = ",".join(
-                f"{pid}={info.get('state', '?')}"
-                for pid, info in sorted(peers.items())
-            )
+            breakers = peer_links(rep.get("peers") or {})
             replica_lines.append(
                 f"  {sid:<10} {rid:<14} {rep.get('role', '?'):<10} "
                 f"{state:<18} breakers {breakers or '-'}"

@@ -5,8 +5,14 @@ non-empty log — that :func:`write_directory` produced under the commit
 *before* the pickle codec and the log scan were rewritten (PR 11's
 tree), committed here as constants.  Under the current code it must
 open, replay and pass ``fsck``; and :func:`write_directory` must still
-produce exactly those bytes, which is what lets the previous decoder
-read a directory written today.
+produce exactly those log and version bytes.
+
+The checkpoint is the same codec over a smaller root: since the
+replication history became a bounded window the root has no ``applied``
+set, so ``checkpoint2`` is pinned by its own constant — and putting the
+set back reproduces the previous bytes exactly, which shows nothing else
+moved.  (A build from before the window indexes ``root["applied"]`` and
+so cannot open a directory checkpointed by this one; see docs/FORMATS.md.)
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ import io
 import zlib
 
 from repro import LocalFS, NameServer
+from repro.core.checkpoint import read_checkpoint
+from repro.pickles import pickle_read, pickle_write
 from repro.tools.fsck import main as fsck_main
 
 
@@ -63,10 +71,25 @@ PREVIOUS_CODEC_DIRECTORY = {
     ),
 }
 
+#: ``checkpoint2`` as :func:`write_directory` writes it now: the root
+#: above without its ``applied`` set
+CHECKPOINT2_WITHOUT_APPLIED = (
+    "eNp9kE1OwzAQheufia2mI5AqflRggVggFlRNywkQS8SGAyDTDI2lNAl2WtHL9S5IXAMJl6YtbKrx"
+    "wm/eN88jPz/cJ18ijkA5qnI7NqAqZ6fGLUDlZlqVrhYadEEf9Yund9EGWTuiDhwUZkqe3Jxc/6lM"
+    "iYMeZzZPHRUxA1G6SQcVRx0EZKWvfSMl8GzQ3FsgczJv/8MeQ0cCzE0+o5iDMmnI9B50Muj/FvBZ"
+    "xVEIDlHp7MQWGKiUcqopZSE92aRjt4NHEo9jjqfb8QR7LAxLPEOO5yt+uJcfYm/1WLTjR3v50Tpf"
+    "Nzx2W+sD0ZzGdelihjz8qMqsD2qhpJaah1YokK+2SLXQAtuIeIgnrDFl2Pdua1zg5caIwmI74wqv"
+    "N0bo/TFu8JZ9frPlD40jTWU="
+)
+
+
+def _unpacked(packed: str) -> bytes:
+    return zlib.decompress(base64.b64decode(packed))
+
 
 def _unpack(directory) -> None:
     for name, packed in PREVIOUS_CODEC_DIRECTORY.items():
-        (directory / name).write_bytes(zlib.decompress(base64.b64decode(packed)))
+        (directory / name).write_bytes(_unpacked(packed))
 
 
 def test_previous_codecs_directory_opens_replays_and_passes_fsck(tmp_path):
@@ -82,13 +105,58 @@ def test_previous_codecs_directory_opens_replays_and_passes_fsck(tmp_path):
     assert fsck_main([str(tmp_path)], out=out) == 0, out.getvalue()
 
 
-def test_this_codec_writes_the_same_directory_byte_for_byte(tmp_path):
+def test_previous_directory_sheds_its_applied_set_at_the_first_update(tmp_path):
+    """No load-time migration: the first update (replayed or new) drops
+    the leftover key, so the next checkpoint is the windowed shape."""
+    _unpack(tmp_path)
+    shipped = pickle_read(read_checkpoint(LocalFS(str(tmp_path)), "checkpoint2"))
+    assert len(shipped["applied"]) == 4
+    server = NameServer(LocalFS(str(tmp_path)))
+    try:
+        server.bind("org/hosts/h9", {"address": "10.0.0.9", "up": True})
+        server.checkpoint()
+    finally:
+        server.close()
+    server = NameServer(LocalFS(str(tmp_path)))
+    try:
+        assert server.db.last_recovery.entries_replayed == 0
+        root_keys = server.db.enquire(lambda root: sorted(root))
+        assert root_keys == ["history", "lamport", "next_seq", "replica", "tree", "vector"]
+        assert server.updates_since({"primary": 8}) == server.updates_since({})[8:]
+        assert len(server.updates_since({})) == 9
+        assert server.lookup("org/hosts/h9")["address"] == "10.0.0.9"
+    finally:
+        server.close()
+    out = io.StringIO()
+    assert fsck_main([str(tmp_path)], out=out) == 0, out.getvalue()
+
+
+def _written(tmp_path) -> dict[str, bytes]:
     write_directory(str(tmp_path))
-    written = {
+    return {
         entry.name: entry.read_bytes() for entry in tmp_path.iterdir() if entry.is_file()
     }
-    expected = {
-        name: zlib.decompress(base64.b64decode(packed))
-        for name, packed in PREVIOUS_CODEC_DIRECTORY.items()
-    }
-    assert written == expected
+
+
+def test_this_codec_writes_the_same_log_and_version_byte_for_byte(tmp_path):
+    written = _written(tmp_path)
+    assert sorted(written) == sorted(PREVIOUS_CODEC_DIRECTORY)
+    for name in ("logfile2", "version"):
+        assert written[name] == _unpacked(PREVIOUS_CODEC_DIRECTORY[name]), name
+
+
+def test_checkpoint_differs_from_the_previous_one_by_the_applied_set_only(tmp_path):
+    written = _written(tmp_path)
+    assert written["checkpoint2"] == _unpacked(CHECKPOINT2_WITHOUT_APPLIED)
+
+    # Same codec, smaller root: put the set back where it used to sit
+    # (between "tree" and "vector") and the previous payload comes out.
+    fs = LocalFS(str(tmp_path))
+    root = pickle_read(read_checkpoint(fs, "checkpoint2"))
+    previous_shape = {}
+    for key, value in root.items():
+        if key == "vector":
+            previous_shape["applied"] = {record[0] for record in root["history"]}
+        previous_shape[key] = value
+    (tmp_path / "previous").write_bytes(_unpacked(PREVIOUS_CODEC_DIRECTORY["checkpoint2"]))
+    assert pickle_write(previous_shape) == read_checkpoint(fs, "previous")

@@ -191,13 +191,22 @@ class TestRestoration:
         assert not restored.exists("junk")
 
     def test_restored_replica_continues_local_updates(self):
-        """next_seq must move past restored history for this origin."""
+        """next_seq must continue exactly where the group's knowledge of
+        this origin ends: no reused id, and no gap either — the donor's
+        own (larger) counter must not leak in, or every peer's in-order
+        rule would wait for ever for updates that never existed."""
         _, (a, b) = make_replicas(2)
         a.add_peer(b)
         a.bind("one", 1)
         a.propagate()
+        for n in range(3):
+            b.bind(f"theirs/{n}", n)  # the donor's next_seq runs ahead
         fs_new = SimFS(clock=SimClock())
         a2 = ReplicaRecoverer(fs_new, "a", [b]).run()
         a2.bind("two", 2)  # must get a fresh (a, seq) id
-        ids = [record[0] for record in a2.export_state()]
+        ids = [record[0] for record in a2.updates_since({})]
         assert len(ids) == len(set(ids)), f"duplicate update ids: {ids}"
+        assert ids[-1] == ("a", 2)
+        a2.add_peer(b)
+        assert a2.propagate() == 1
+        assert b.lookup("two") == 2

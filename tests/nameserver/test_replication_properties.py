@@ -2,8 +2,12 @@
 
 The invariants that make anti-entropy correct:
 
-* **Permutation-independence**: applying the same set of update records
-  in any batch order produces identical replica state.
+* **Interleaving-independence**: applying the same update records in any
+  interleaving that keeps each origin's records in order produces
+  identical replica state.
+* **In-order acceptance**: a record is applied only when it is its
+  origin's next one — an early one is ignored until the gap is filled, a
+  duplicate always — so a version vector is a contiguous prefix.
 * **Idempotence**: re-applying any records is a no-op.
 * **Convergence**: any replicas that have exchanged everything agree,
   whatever updates they each originated.
@@ -11,7 +15,7 @@ The invariants that make anti-entropy correct:
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.nameserver import Replica, ReplicaGroup
 from repro.sim import SimClock
@@ -52,7 +56,7 @@ def state_of(replica: Replica):
 
 @given(workloads, workloads, st.data())
 @settings(max_examples=80, deadline=None)
-def test_application_order_does_not_matter(wl_a, wl_b, data):
+def test_any_per_origin_ordered_interleaving_converges(wl_a, wl_b, data):
     origin_a = fresh("a")
     origin_b = fresh("b")
     run_workload(origin_a, wl_a)
@@ -68,14 +72,42 @@ def test_application_order_does_not_matter(wl_a, wl_b, data):
     second.apply_remote(records_b)
     second.apply_remote(records_a)
 
-    # Interleaved in a generated order, record by record.
+    # Interleaved in a generated order, record by record: which origin
+    # goes next is free, the order within an origin is not.
     third = fresh("z")
-    combined = list(records_a) + list(records_b)
-    order = data.draw(st.permutations(range(len(combined))))
-    for index in order:
-        third.apply_remote([combined[index]])
+    turns = data.draw(
+        st.permutations(["a"] * len(records_a) + ["b"] * len(records_b))
+    )
+    queues = {"a": list(records_a), "b": list(records_b)}
+    for origin in turns:
+        assert third.apply_remote([queues[origin].pop(0)]) == 1
 
     assert state_of(first) == state_of(second) == state_of(third)
+    assert first.summary() == second.summary() == third.summary()
+
+
+@given(workloads, st.data())
+@settings(max_examples=80, deadline=None)
+def test_early_record_waits_for_its_gap_and_duplicates_are_ignored(workload, data):
+    origin = fresh("a")
+    run_workload(origin, workload)
+    records = origin.updates_since({})
+    assume(len(records) >= 2)  # unbinds of names never bound record nothing
+    replica = fresh("b")
+    # Offer the records in any order, again and again, until all are in:
+    # each offer is accepted exactly when it is the next one.
+    rounds = 0
+    while replica.summary() != origin.summary():
+        rounds += 1
+        assert rounds <= len(records), "a pass over every record must advance"
+        for index in data.draw(st.permutations(range(len(records)))):
+            seen = replica.summary().get("a", 0)
+            (_origin, seq), *_ = records[index]
+            accepted = replica.apply_remote([records[index]])
+            assert accepted == (1 if seq == seen + 1 else 0)
+            assert replica.summary().get("a", 0) == seen + accepted
+    assert state_of(replica) == state_of(origin)
+    assert replica.updates_since({}) == records
 
 
 @given(workloads)

@@ -143,7 +143,7 @@ class TestDurability:
         fs.crash()
         recovered = NameServer(fs)
         assert recovered.summary() == vector_before
-        assert len(recovered.export_state()) == 1
+        assert len(recovered.updates_since({})) == 1
 
 
 class TestRpcAccess:

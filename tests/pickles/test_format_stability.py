@@ -132,6 +132,13 @@ class TestVersionFileFormat:
 # commit *before* the single-pass codec (PR 11's tree) and committed as
 # constants: the rewrite may change how fast these bytes are produced,
 # never one of the bytes.
+#
+# "root" was re-pinned when the replication history became a window and
+# the root lost its ``applied`` set: a smaller value, not a different
+# encoding — ``test_previous_root_shape_keeps_its_previous_bytes`` puts
+# the set back and still gets PR 11's digest.
+
+PREVIOUS_ROOT_SHA256 = "9960a2d11be6f65e8e39a060131c7009253619f653f50cd782aa26117ac26485"
 
 
 def seeded_root(names: int = 300) -> dict:
@@ -188,7 +195,7 @@ def log_entry() -> tuple:
 
 #: label -> (builder of the value, SHA-256 of its pickle under the previous encoder)
 GOLDEN_SHA256 = {
-    "root": (seeded_root, "9960a2d11be6f65e8e39a060131c7009253619f653f50cd782aa26117ac26485"),
+    "root": (seeded_root, "8c7d9f976fa380963ffbe5cdcfbfe2c9e40c98965e98291c307d7e9c25ed91df"),
     "entry": (log_entry, "048687626ad89b18abdf2179e9195bd88c3e756b2fadb767b7c2b7d4a8bb1fd7"),
     "tags": (one_of_each_tag, "c39bbec543684c106e2e0ca890320605c825f474885b496673c309a8e8cab238"),
 }
@@ -203,3 +210,15 @@ class TestGoldenDigests:
         blob = pickle_write(build())
         assert hashlib.sha256(blob).hexdigest() == expected
         assert pickle_write(pickle_read(blob)) == blob  # and they read back
+
+    def test_previous_root_shape_keeps_its_previous_bytes(self):
+        import hashlib
+
+        root = seeded_root()
+        previous_shape = {}
+        for key, value in root.items():
+            if key == "vector":  # ``applied`` sat between "tree" and "vector"
+                previous_shape["applied"] = {record[0] for record in root["history"]}
+            previous_shape[key] = value
+        digest = hashlib.sha256(pickle_write(previous_shape)).hexdigest()
+        assert digest == PREVIOUS_ROOT_SHA256

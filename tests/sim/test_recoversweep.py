@@ -67,3 +67,32 @@ class TestCli:
         assert report["failures"] == 0
         assert report["runs"] == 2  # 1 network event x drop + 1 crash point
         assert len(report["outcomes"]) == 2
+
+
+class TestHistoryWindowWedge:
+    """A source whose history no longer reaches back to its checkpoint."""
+
+    def test_clean_wedged_recovery_plans_and_ships_twice(self):
+        plain = RecoverySweep(chunk_size=8192)
+        wedged = RecoverySweep(chunk_size=8192, wedged=True)
+        # one more planning and snapshot stage, and a chunk for each snapshot
+        assert wedged.count_crash_points() >= plain.count_crash_points() + 3
+        # the fresh manifest, the second download, the second tail request
+        assert wedged.count_events() >= plain.count_events() + 6
+
+    def test_bounded_wedge_sweep_is_clean(self):
+        result = RecoverySweep(
+            kinds=("drop",), chunk_size=8192, wedged=True
+        ).run(max_events=2)
+        result.assert_clean()
+        assert result.runs == 4
+
+    def test_cli_reports_the_wedge_beside_the_plain_sweep(self, tmp_path, capsys):
+        path = str(tmp_path / "recoversweep.json")
+        assert main(
+            ["--max-events", "1", "--kinds", "drop", "--report", path]
+        ) == 0
+        assert "history-window wedge: 2 recoveries" in capsys.readouterr().out
+        with open(path, encoding="ascii") as f:
+            report = json.load(f)
+        assert report["wedge"]["runs"] == 2 and report["wedge"]["failures"] == 0
