@@ -54,12 +54,12 @@ def test_e11_crash_sweep_padded(benchmark, report):
 
     result = once(benchmark, run)
     result.assert_clean()
-    assert result.torn_commit_losses == 0
+    assert result.total("lost_committed_update") == 0
     report(
         "E11 exhaustive crash sweep (padded log, the default)",
         [
             f"disk states tested: {result.runs} "
-            f"({result.total_events} events x torn/untorn)",
+            f"({result.points['crash']} events x torn/untorn)",
             f"recovery failures: {len(result.failures)}",
             "every state recovered to exactly the committed prefix "
             "(± the in-flight update at its commit point)",
@@ -81,19 +81,20 @@ def test_e11_crash_sweep_unpadded_paper_layout(benchmark, report):
 
     result = once(benchmark, run)
     result.assert_clean()  # always *consistent* …
-    assert result.torn_commit_losses > 0  # … but durability has holes
+    losses = result.total("lost_committed_update")
+    assert losses > 0  # … but durability has holes
     report(
         "E11b the paper's exact (unpadded) log layout",
         [
             f"disk states tested: {result.runs}",
             f"states losing a committed entry to a torn shared page: "
-            f"{result.torn_commit_losses}",
+            f"{losses}",
             "(recovery is still consistent — an exact earlier prefix — "
             "but durability is violated; padding closes the hole: D2)",
         ],
         metrics={
             "e11_torn_commit_losses": metric(
-                result.torn_commit_losses, "states", direction="none"
+                losses, "states", direction="none"
             ),
         },
     )

@@ -61,7 +61,7 @@ def test_e13_padding_ablation(benchmark, report):
                 writer.append(pickle_write(("set", (key, value), {})))
             results[padded] = {
                 "bytes": fs.size("log"),
-                "losses": outcome.torn_commit_losses,
+                "losses": outcome.total("lost_committed_update"),
                 "states": outcome.runs,
             }
         return results

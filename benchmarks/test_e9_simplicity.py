@@ -23,6 +23,7 @@ with direction "lower" — growing the tree is a recorded decision.
 from __future__ import annotations
 
 import os
+import re
 
 from conftest import once
 from repro.obs.regress import metric
@@ -193,6 +194,42 @@ def test_e9_update_protocol_is_written_once(benchmark, report):
         [
             "core/database.py: one precondition check, one apply, one log "
             "writer construction; 0 cost-model, stopwatch or span calls"
+        ],
+    )
+
+
+def test_e9_sweep_core_is_written_once(benchmark, report):
+    """ROADMAP item 3, structurally: the model checkers are scenarios on
+    one core (``sim/sweep.py``), so ``sim/`` parses one command line,
+    judges a result one way and has one result class, and the whole tree
+    has one simulated machine halt."""
+
+    def read_tree(root: str) -> str:
+        sources = []
+        for directory, _subdirs, files in os.walk(root):
+            for name in sorted(files):
+                if name.endswith(".py"):
+                    with open(os.path.join(directory, name), encoding="utf-8") as f:
+                        sources.append(f.read())
+        return "\n".join(sources)
+
+    sim, tree = once(
+        benchmark, lambda: (read_tree(os.path.join(_SRC, "sim")), read_tree(_SRC))
+    )
+    counts = {
+        "ArgumentParser(": sim.count("ArgumentParser("),
+        "def assert_clean": sim.count("def assert_clean"),
+        "class …Result": len(re.findall(r"^\s*class \w*Result\b", sim, re.MULTILINE)),
+    }
+    for token, count in counts.items():
+        assert count == 1, f"sim/ has {token!r} {count}x"
+    halts = tree.count("class SimulatedCrash")
+    assert halts == 1, f"src/repro has class SimulatedCrash {halts}x"
+    report(
+        "E9d one sweep core",
+        [
+            "sim/: " + ", ".join(f"{token} x{count}" for token, count in counts.items()),
+            f"src/repro: class SimulatedCrash x{halts}",
         ],
     )
 

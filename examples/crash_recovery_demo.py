@@ -34,11 +34,12 @@ def sweep_demo() -> None:
         sweep = CrashPointSweep(steps, ops, pad_log_to_page=padded)
         result = sweep.run()
         result.assert_clean()
+        losses = result.total("lost_committed_update")
         label = "padded log (default)" if padded else "paper's unpadded log"
         print(
             f"{label:24s}: {result.runs} crash states, "
             f"0 recovery failures, "
-            f"{result.torn_commit_losses} committed entries lost to torn pages"
+            f"{losses} committed entries lost to torn pages"
         )
 
 

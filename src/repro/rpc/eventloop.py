@@ -39,7 +39,6 @@ no leaked sockets or threads after ``stop``) are identical to
 
 from __future__ import annotations
 
-import logging
 import queue
 import selectors
 import socket
@@ -50,8 +49,6 @@ from collections import deque
 
 from repro.rpc.server import RpcServer
 from repro.rpc.transport import disable_nagle
-
-logger = logging.getLogger("repro.rpc")
 
 _FRAME = struct.Struct(">I")
 _MAX_FRAME = 64 * 1024 * 1024
@@ -104,10 +101,10 @@ class EventLoopServer:
     """An event-driven TCP front end for an :class:`RpcServer`.
 
     Same contract as :class:`~repro.rpc.transport.TcpServerThread`: a
-    malformed frame closes only that connection (with a logged error and
+    malformed frame closes only that connection (with a flight event and
     a bumped ``rpc_server_connection_errors_total``); ``stop()`` closes
     the listener and every connection and joins the loop and worker
-    threads; an unexpected listener death is loud (log + counter + flight
+    threads; an unexpected listener death is loud (counter + flight
     event) instead of silent.
 
     >>> srv = EventLoopServer(rpc_server, port=0).start()
@@ -303,10 +300,11 @@ class EventLoopServer:
                 self._drain_completions()
                 if events:
                     self._turn_seconds.observe(time.perf_counter() - started)
-        except Exception:  # pragma: no cover - loop must never die silently
-            logger.exception("event loop died unexpectedly")
+        except Exception as exc:  # pragma: no cover - loop must never die silently
             self.listener_failed = True
             self._listener_failures.inc()
+            if self.flight is not None:
+                self.flight.record("rpc_eventloop_died", error=repr(exc))
         finally:
             self._cleanup()
 
@@ -339,13 +337,6 @@ class EventLoopServer:
             return
         self.listener_failed = True
         self._listener_failures.inc()
-        logger.error(
-            "listener on %s:%s died unexpectedly (%s): the server will "
-            "accept no further connections",
-            self.host,
-            self.port,
-            exc,
-        )
         if self.flight is not None:
             self.flight.record(
                 "rpc_listener_failed",
@@ -392,9 +383,8 @@ class EventLoopServer:
             self._drop(conn, None)
             return
         if not data:
-            if conn.inbuf:
-                # Mid-frame disconnect: quiet, same as the threaded server.
-                logger.debug("connection closed mid-frame")
+            # A disconnect, even mid-frame, is quiet: same as the threaded
+            # server.
             self._drop(conn, None)
             return
         conn.inbuf += data
@@ -411,10 +401,6 @@ class EventLoopServer:
             (length,) = _FRAME.unpack_from(buf, offset)
             if length > _MAX_FRAME:
                 self._connection_errors_metric.inc()
-                logger.warning(
-                    "dropping connection: frame of %d bytes exceeds limit",
-                    length,
-                )
                 self._drop(conn, "oversize frame")
                 return
             if available - _FRAME.size < length:
@@ -507,15 +493,13 @@ class EventLoopServer:
         if conn.dead:
             return
         conn.dead = True
-        if reason:
-            logger.warning("dropping connection: %s", reason)
-            if self.flight is not None:
-                self.flight.record(
-                    "rpc_connection_dropped",
-                    fd=conn.fd,
-                    reason=reason,
-                    in_flight=conn.in_flight,
-                )
+        if reason and self.flight is not None:
+            self.flight.record(
+                "rpc_connection_dropped",
+                fd=conn.fd,
+                reason=reason,
+                in_flight=conn.in_flight,
+            )
         try:
             self._selector.unregister(conn.sock)
         except (KeyError, ValueError, OSError):
@@ -537,10 +521,6 @@ class EventLoopServer:
             and now - self._storm_reported_at > 1.0
         ):
             self._storm_reported_at = now
-            logger.warning(
-                "disconnect storm: %d connections dropped within 1s",
-                len(self._recent_drops),
-            )
             if self.flight is not None:
                 self.flight.record(
                     "rpc_disconnect_storm",
@@ -569,11 +549,12 @@ class EventLoopServer:
         """
         try:
             response: bytes | None = dispatch(payload)
-        except Exception:
+        except Exception as exc:
             # dispatch() answers bad input with error frames, so this
             # is a server bug: close the connection, keep the loop.
             self._connection_errors_metric.inc()
-            logger.exception("internal error serving connection")
+            if self.flight is not None:
+                self.flight.record("rpc_dispatch_failed", error=repr(exc))
             response = None
         else:
             if response is None:

@@ -23,7 +23,6 @@ is terminal (subsequent calls raise
 
 from __future__ import annotations
 
-import logging
 import socket
 import struct
 import threading
@@ -32,8 +31,6 @@ from dataclasses import dataclass
 from repro.rpc.errors import TransportClosed, TransportError
 from repro.rpc.server import RpcServer
 from repro.sim.clock import Clock
-
-logger = logging.getLogger("repro.rpc")
 
 
 class Transport:
@@ -141,8 +138,9 @@ class TcpServerThread:
     """A threaded TCP front end for an :class:`RpcServer`.
 
     A malformed frame (garbage length prefix, truncated payload) or any
-    per-connection failure closes *that* connection with a logged error;
-    the accept loop and other connections are unaffected.  ``stop()``
+    per-connection failure closes *that* connection, counted and, given a
+    flight recorder, recorded; the accept loop and other connections are
+    unaffected.  ``stop()``
     closes the listener and every open connection and joins all threads,
     so a stopped server leaks nothing.
 
@@ -167,7 +165,8 @@ class TcpServerThread:
         self._workers: list[threading.Thread] = []
         self._connections: set[socket.socket] = set()
         #: optional :class:`~repro.obs.flight.FlightRecorder` receiving a
-        #: black-box event if the listener dies outside of ``stop()``
+        #: black-box event if the listener dies outside of ``stop()`` or a
+        #: connection is dropped for cause
         self.flight = flight
         # Tallies live in the server's metrics registry so concurrent
         # worker threads increment atomically (the registry takes a lock
@@ -199,13 +198,6 @@ class TcpServerThread:
         """The loud-death contract: an accept loop must never die quietly."""
         self.listener_failed = True
         self._listener_failures.inc()
-        logger.error(
-            "listener on %s:%s died unexpectedly (%s): the server will "
-            "accept no further connections",
-            self.host,
-            self.port,
-            exc,
-        )
         if self.flight is not None:
             self.flight.record(
                 "rpc_listener_failed",
@@ -247,7 +239,10 @@ class TcpServerThread:
                         # disconnect: drop this connection only.
                         if "closed mid-frame" not in str(exc):
                             self._connection_errors.inc()
-                            logger.warning("dropping connection: %s", exc)
+                            if self.flight is not None:
+                                self.flight.record(
+                                    "rpc_connection_dropped", reason=str(exc)
+                                )
                         return
                     except OSError:
                         return
@@ -256,12 +251,15 @@ class TcpServerThread:
                         _send_frame(conn, response)
                     except OSError:
                         return
-                    except Exception:
+                    except Exception as exc:
                         # dispatch() returns error frames for bad input, so
-                        # reaching here is a server bug — log it loudly but
-                        # keep the process (and the accept loop) alive.
+                        # reaching here is a server bug — record it but keep
+                        # the process (and the accept loop) alive.
                         self._connection_errors.inc()
-                        logger.exception("internal error serving connection")
+                        if self.flight is not None:
+                            self.flight.record(
+                                "rpc_dispatch_failed", error=repr(exc)
+                            )
                         return
         finally:
             with self._state_lock:

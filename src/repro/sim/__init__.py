@@ -19,19 +19,15 @@ from repro.sim.costmodel import CostModel, MICROVAX_II, NULL_COST_MODEL
 _LAZY = {
     "CrashOutcome": "repro.sim.crashtest",
     "CrashPointSweep": "repro.sim.crashtest",
-    "CrashSweepResult": "repro.sim.crashtest",
     "IoFaultOutcome": "repro.sim.iosweep",
     "IoFaultSweep": "repro.sim.iosweep",
-    "IoSweepResult": "repro.sim.iosweep",
     "NetFaultOutcome": "repro.sim.netsweep",
-    "NetSweepResult": "repro.sim.netsweep",
     "NetworkFaultSweep": "repro.sim.netsweep",
     "RecoveryFaultOutcome": "repro.sim.recoversweep",
     "RecoverySweep": "repro.sim.recoversweep",
-    "RecoverySweepResult": "repro.sim.recoversweep",
     "RepairOutcome": "repro.sim.iosweep",
-    "RepairSweepResult": "repro.sim.iosweep",
     "ReplicaRepairSweep": "repro.sim.iosweep",
+    "SweepResult": "repro.sim.sweep",
     "NameWorkload": "repro.sim.workload",
     "OperationMix": "repro.sim.workload",
     "READ_MOSTLY": "repro.sim.workload",

@@ -47,16 +47,16 @@ shipping + log tail from a surviving peer) — and judges the invariants:
 
 Run standalone (the CI job does)::
 
-    PYTHONPATH=src python -m repro.sim.chaossweep
+    PYTHONPATH=src python -m repro.sim.sweep chaos
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from repro.cluster.coordinator import Coordinator
-from repro.cluster.errors import MigrationFailed, PrimaryFailed, WrongShard
+from repro.cluster.errors import MigrationFailed, PrimaryFailed
 from repro.cluster.quorum import MapStore, QuorumMapStore
 from repro.cluster.router import ShardRouter
 from repro.cluster.shard import SHARD_INTERFACE, RemoteShard, ShardService
@@ -69,9 +69,12 @@ from repro.sim.clock import SimClock
 from repro.sim.shardsweep import (
     MOVING_COMPONENTS,
     STABLE_COMPONENTS,
-    SimulatedCrash,
+    judge_split,
+    resume_split,
 )
+from repro.sim.sweep import AtCall, Outcome, Sweep
 from repro.storage import SimFS
+from repro.storage.errors import SimulatedCrash
 
 #: the nodes the sweep kills, one per run ("coordinator" is a mode of
 #: its own: the acting coordinator halts and one quorum store dies)
@@ -173,17 +176,9 @@ class _KillableStore(MapStore):
 
 
 @dataclass
-class ChaosOutcome:
-    """One faulted run against the invariants."""
+class ChaosOutcome(Outcome):
+    """One faulted run against the invariants; ``kind`` names the victim."""
 
-    victim: str
-    fault_at: int
-    #: "kill" (a node dies) or "coordinator" (coordinator + one store)
-    mode: str
-    fired: bool = False
-    completed: bool = False
-    resumed: bool = False
-    migration_retried: bool = False
     promoted: list[str] = field(default_factory=list)
     revived: list[str] = field(default_factory=list)
     acked_updates: int = 0
@@ -191,68 +186,6 @@ class ChaosOutcome:
     read_failovers: int = 0
     stale_reads: int = 0
     new_epoch: int = 0
-    failure: str | None = None
-
-
-@dataclass
-class ChaosSweepResult:
-    events: int
-    outcomes: list[ChaosOutcome] = field(default_factory=list)
-
-    @property
-    def runs(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def failures(self) -> list[ChaosOutcome]:
-        return [o for o in self.outcomes if o.failure is not None]
-
-    @property
-    def promotions(self) -> int:
-        return sum(len(o.promoted) for o in self.outcomes)
-
-    @property
-    def availability(self) -> dict:
-        """The report's headline numbers: how degraded service stayed."""
-        served = sum(o.acked_updates for o in self.outcomes)
-        return {
-            "acked_updates": served,
-            "write_failovers": sum(o.write_failovers for o in self.outcomes),
-            "read_failovers": sum(o.read_failovers for o in self.outcomes),
-            "stale_reads": sum(o.stale_reads for o in self.outcomes),
-            "promotions": self.promotions,
-            "revived_nodes": sum(len(o.revived) for o in self.outcomes),
-        }
-
-    def assert_clean(self) -> None:
-        if self.failures:
-            first = self.failures[0]
-            raise AssertionError(
-                f"{len(self.failures)} of {self.runs} chaos runs violated "
-                f"the cluster invariants; first: {first.mode} of "
-                f"{first.victim} at event {first.fault_at}: {first.failure}"
-            )
-
-    def summary(self) -> str:
-        avail = self.availability
-        return (
-            f"{self.runs} runs over {self.events} events x "
-            f"{len(KILL_VICTIMS) + 1} victims: {len(self.failures)} "
-            f"failures, {self.promotions} promotions, "
-            f"{avail['write_failovers']} write failovers, "
-            f"{avail['read_failovers']} read failovers, "
-            f"{avail['revived_nodes']} nodes revived"
-        )
-
-    def report(self) -> dict:
-        """JSON-serialisable report (the CI job uploads this artifact)."""
-        return {
-            "events": self.events,
-            "runs": self.runs,
-            "failures": len(self.failures),
-            "availability": self.availability,
-            "outcomes": [asdict(o) for o in self.outcomes],
-        }
 
 
 class _ChaosWorld:
@@ -298,7 +231,7 @@ class _ChaosWorld:
         #: legitimately serve an *older* acked value during a failover
         #: window, but never an invented or doubled one)
         self.acked_history: dict[str, set] = {}
-        self._sequence = 0
+        self.sequence = 0
         self.write_failovers = 0
         self.stale_reads = 0
         self.promoted: list[str] = []
@@ -423,8 +356,8 @@ class _ChaosWorld:
         coordinator to promote, and the retry must succeed.
         """
         cycle = MOVING_COMPONENTS + STABLE_COMPONENTS
-        self._bind(cycle[self._sequence % len(cycle)])
-        self._bind(MOVING_COMPONENTS[self._sequence % len(MOVING_COMPONENTS)])
+        self._bind(cycle[self.sequence % len(cycle)])
+        self._bind(MOVING_COMPONENTS[self.sequence % len(MOVING_COMPONENTS)])
         if self.acked:
             path = self.rng.choice(sorted(self.acked))
             got = self.router.lookup(path)
@@ -444,9 +377,9 @@ class _ChaosWorld:
                 self.stale_reads += 1
 
     def _bind(self, component: str) -> None:
-        self._sequence += 1
+        self.sequence += 1
         path = f"{component}/addr"
-        value = self._sequence
+        value = self.sequence
         try:
             self.router.bind(path, value)
         except PrimaryFailed as exc:
@@ -462,72 +395,14 @@ class _ChaosWorld:
     # -- judgement --------------------------------------------------------------
 
     def judge(self, outcome: ChaosOutcome, initial_epoch: int) -> list[str]:
-        failures: list[str] = []
-        current = self.coordinator.current_map()
-        outcome.new_epoch = current.epoch
-        outcome.acked_updates = self._sequence
+        failures = judge_split(self, outcome, initial_epoch, self._transport)
         outcome.write_failovers = self.write_failovers
         outcome.read_failovers = self.router.read_failovers
         outcome.stale_reads = self.stale_reads
         outcome.promoted = list(self.promoted)
-        if current.epoch <= initial_epoch:
-            failures.append(
-                f"epoch never advanced past {initial_epoch} "
-                f"(still {current.epoch})"
-            )
         if self.dead:
             failures.append(f"nodes still dead: {sorted(self.dead)}")
-
-        fresh = ShardRouter(current, transport_factory=self._transport)
-        try:
-            for path, want in self.acked.items():
-                try:
-                    got = fresh.lookup(path)
-                except Exception as exc:  # noqa: BLE001 - any escape is a finding
-                    failures.append(
-                        f"acked update {path!r} unreadable: {exc!r}"
-                    )
-                    continue
-                if got != want:
-                    failures.append(
-                        f"acked update {path!r} reads {got!r}, latest "
-                        f"acked value was {want!r} (lost or doubled)"
-                    )
-            total = fresh.count()
-            if total != len(self.acked):
-                failures.append(
-                    f"scatter count {total} != {len(self.acked)} distinct "
-                    f"live names (double-count or loss across shards)"
-                )
-        finally:
-            fresh.close()
-
-        failures.extend(self._judge_ownership())
-        failures.extend(self._judge_replicas(current))
-        return failures
-
-    def _judge_ownership(self) -> list[str]:
-        """Each component: exactly one owning shard, all its replicas."""
-        failures: list[str] = []
-        for component in MOVING_COMPONENTS + STABLE_COMPONENTS:
-            owners: set[str] = set()
-            for service in self.services.values():
-                try:
-                    present = service.exists((component, "addr"))
-                except WrongShard:
-                    continue
-                owners.add(service.shard_id)
-                if not present:
-                    failures.append(
-                        f"{service.replica_id} owns {component!r} but "
-                        f"has no data for it"
-                    )
-            if len(owners) != 1:
-                failures.append(
-                    f"component {component!r} owned by {sorted(owners)!r}, "
-                    f"expected exactly one shard"
-                )
-        return failures
+        return failures + self._judge_replicas(self.coordinator.current_map())
 
     def _judge_replicas(self, current) -> list[str]:
         """Replicas of a shard: healthy, consistent, roles match the map."""
@@ -568,207 +443,77 @@ class _ChaosWorld:
         self.router.close()
 
 
-class ChaosSweep:
+class ChaosSweep(Sweep):
     """Kills every node (and the coordinator) at every split event."""
 
-    def count_events(self) -> int:
-        """Dry run: observer callbacks one clean split makes."""
+    outcome_type = ChaosOutcome
+    TOTALS = (
+        "acked_updates",
+        "promoted",
+        "write_failovers",
+        "read_failovers",
+        "stale_reads",
+        "revived",
+    )
+    phases = [("kill", {"kind": (victim,)}) for victim in KILL_VICTIMS] + [
+        ("coordinator", {"kind": ("coordinator",)})
+    ]
+
+    def dry_run(self) -> dict[str, int]:
+        """Observer callbacks one clean split makes."""
         world = _ChaosWorld(seed=0)
-        points = [0]
-
-        def observe(point: str) -> None:
-            world.traffic(point)
-            points[0] += 1
-
+        counter = AtCall(each=world.traffic)
         try:
             world.seed()
-            world.coordinator.split("s0", "s1", stage_observer=observe)
+            world.coordinator.split("s0", "s1", stage_observer=counter)
         finally:
             world.close()
-        return points[0]
+        return {"kill": counter.calls, "coordinator": counter.calls}
 
-    def run(self, max_events: int | None = None) -> ChaosSweepResult:
-        events = self.count_events()
-        swept = events if max_events is None else min(events, max_events)
-        result = ChaosSweepResult(events=events)
-        for victim in KILL_VICTIMS:
-            for fault_at in range(1, swept + 1):
-                result.outcomes.append(self._run_kill(victim, fault_at))
-        for fault_at in range(1, swept + 1):
-            result.outcomes.append(self._run_coordinator(fault_at))
-        return result
-
-    # -- one node dies -----------------------------------------------------------
-
-    def _run_kill(self, victim: str, fault_at: int) -> ChaosOutcome:
-        world = _ChaosWorld(seed=fault_at * 16 + len(victim))
-        outcome = ChaosOutcome(victim, fault_at, mode="kill")
-        failures: list[str] = []
-        seen = [0]
-
-        def observer(point: str) -> None:
-            world.traffic(point)
-            seen[0] += 1
-            if seen[0] == fault_at and not outcome.fired:
-                world.kill(victim)
-                outcome.fired = True
-
+    def run_one(self, outcome: ChaosOutcome) -> list[str]:
+        """Kill node ``outcome.kind`` at event k — or halt the coordinator
+        there, losing one quorum store for good — then revive and judge."""
+        victim = outcome.kind
+        if outcome.mode == "kill":
+            world = _ChaosWorld(seed=outcome.fault_at * 16 + len(victim))
+            observer = AtCall(
+                outcome.fault_at,
+                each=world.traffic,
+                action=lambda: world.kill(victim),
+            )
+        else:
+            world = _ChaosWorld(seed=outcome.fault_at * 16 + 7)
+            observer = AtCall(outcome.fault_at, each=world.traffic)
         try:
             world.seed()
             initial_epoch = world.coordinator.current_map().epoch
             try:
-                world.coordinator.split(
-                    "s0", "s1", stage_observer=observer
-                )
+                world.coordinator.split("s0", "s1", stage_observer=observer)
             except MigrationFailed:
                 # The dead node wedged a stage: promote over it (the
                 # supervisor's failover check) and resume — the
                 # persisted state plus the recomputed map must finish.
-                outcome.migration_retried = True
+                outcome.retried_run = True
                 world.ensure_promoted(victim)
-                try:
-                    report = world.coordinator.resume_migration(
-                        stage_observer=world.traffic
-                    )
-                except MigrationFailed as exc:
-                    outcome.failure = (
-                        f"migration failed even after promotion "
-                        f"(stage {exc.stage}): {exc}"
-                    )
-                    return outcome
+                report = world.coordinator.resume_migration(
+                    stage_observer=world.traffic
+                )
                 outcome.resumed = bool(report is None or report.resumed)
-            except Exception as exc:  # noqa: BLE001 - any escape is a finding
-                outcome.failure = (
-                    f"split raised outside the typed surface: {exc!r}"
-                )
-                return outcome
-            if not outcome.fired:
-                outcome.failure = (
-                    f"fault point {fault_at} was never reached "
-                    f"({seen[0]} observer calls)"
-                )
-                return outcome
+            except SimulatedCrash:
+                # The coordinator's machine halts taking one quorum store
+                # with it for good; the survivors lose unsynced state, and
+                # a standby rebuilds from a quorum of them.
+                world.kill_store(0)
+                for fs in world.store_fss[1:]:
+                    fs.crash()
+                resume_split(world, outcome)
+            outcome.fired = observer.fired
             outcome.completed = True
             for node in sorted(world.dead):
                 world.revive(node)
                 outcome.revived.append(node)
             # One more round of traffic: the healed cluster must serve.
             world.traffic("post_recovery")
-            failures.extend(world.judge(outcome, initial_epoch))
-        except Exception as exc:  # noqa: BLE001 - any escape is a finding
-            outcome.failure = f"run escaped the typed surface: {exc!r}"
-            return outcome
+            return world.judge(outcome, initial_epoch)
         finally:
             world.close()
-        if failures:
-            outcome.failure = "; ".join(failures)
-        return outcome
-
-    # -- the coordinator dies ----------------------------------------------------
-
-    def _run_coordinator(self, fault_at: int) -> ChaosOutcome:
-        world = _ChaosWorld(seed=fault_at * 16 + 7)
-        outcome = ChaosOutcome("coordinator", fault_at, mode="coordinator")
-        failures: list[str] = []
-        seen = [0]
-
-        def observer(point: str) -> None:
-            world.traffic(point)
-            seen[0] += 1
-            if seen[0] == fault_at:
-                raise SimulatedCrash(point)
-
-        try:
-            world.seed()
-            initial_epoch = world.coordinator.current_map().epoch
-            try:
-                world.coordinator.split("s0", "s1", stage_observer=observer)
-                outcome.failure = (
-                    f"crash point {fault_at} was never reached "
-                    f"({seen[0]} observer calls)"
-                )
-                return outcome
-            except SimulatedCrash:
-                pass
-            outcome.fired = True
-            # The coordinator's machine halts taking one quorum store
-            # with it for good; the survivors lose unsynced state.
-            world.kill_store(0)
-            for fs in world.store_fss[1:]:
-                fs.crash()
-            # The standby rebuilds from a quorum of the surviving
-            # stores and continues the split.
-            world.coordinator = world._coordinator()
-            try:
-                report = world.coordinator.resume_migration(
-                    stage_observer=world.traffic
-                )
-                if report is None:
-                    # Crashed before the first durable save: nothing to
-                    # resume, the operator re-issues the split.
-                    report = world.coordinator.split(
-                        "s0", "s1", stage_observer=world.traffic
-                    )
-                else:
-                    outcome.resumed = True
-            except MigrationFailed as exc:
-                outcome.failure = f"standby resume failed: {exc}"
-                return outcome
-            outcome.completed = True
-            world.traffic("post_recovery")
-            failures.extend(world.judge(outcome, initial_epoch))
-        except Exception as exc:  # noqa: BLE001 - any escape is a finding
-            outcome.failure = f"run escaped the typed surface: {exc!r}"
-            return outcome
-        finally:
-            world.close()
-        if failures:
-            outcome.failure = "; ".join(failures)
-        return outcome
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point: run the sweep, print the summary, exit 0/1."""
-    import argparse
-    import json
-
-    parser = argparse.ArgumentParser(
-        description="chaos sweep: kill every node at every split event"
-    )
-    parser.add_argument(
-        "--max-events", type=int, default=None,
-        help="sweep only fault points 1..N per victim (default: all)",
-    )
-    parser.add_argument(
-        "--report", default=None,
-        help="write a JSON report of every outcome to this path",
-    )
-    parser.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
-
-    sweep = ChaosSweep()
-    result = sweep.run(max_events=args.max_events)
-    print(result.summary())
-    if args.verbose:
-        for outcome in result.outcomes:
-            status = "FAIL" if outcome.failure else "ok"
-            print(
-                f"  {outcome.mode:11s} {outcome.victim:11s} "
-                f"{outcome.fault_at:3d} fired={outcome.fired} "
-                f"resumed={outcome.resumed} promoted={outcome.promoted} "
-                f"revived={outcome.revived} {status}"
-            )
-    for outcome in result.failures:
-        print(
-            f"FAIL {outcome.mode} of {outcome.victim} at event "
-            f"{outcome.fault_at}: {outcome.failure}"
-        )
-    if args.report is not None:
-        with open(args.report, "w", encoding="ascii") as f:
-            json.dump(result.report(), f, indent=2)
-        print(f"report written to {args.report}")
-    return 1 if result.failures else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

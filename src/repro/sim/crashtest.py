@@ -26,12 +26,13 @@ often that data loss actually occurs (design note D2 in DESIGN.md).
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.database import Database
 from repro.core.transactions import OperationRegistry
 from repro.sim.clock import SimClock
+from repro.sim.sweep import Outcome, Sweep
 from repro.storage.errors import SimulatedCrash
 from repro.storage.failures import FailureInjector
 from repro.storage.simfs import SimFS
@@ -41,48 +42,22 @@ Step = tuple
 
 
 @dataclass
-class CrashOutcome:
+class CrashOutcome(Outcome):
     """What one crashed run recovered to."""
 
-    crash_at_event: int
-    tear: bool
-    completed_steps: int
+    tear: bool = False
+    completed_steps: int = 0
     #: index of the model prefix the recovered state equals (None: no match)
-    matched_model_index: int | None
+    matched_model_index: int | None = None
     #: True when a *committed* update was lost (possible only unpadded)
-    lost_committed_update: bool
-    failure: str | None = None
+    lost_committed_update: bool = False
 
 
-@dataclass
-class CrashSweepResult:
-    total_events: int
-    outcomes: list[CrashOutcome] = field(default_factory=list)
-
-    @property
-    def runs(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def failures(self) -> list[CrashOutcome]:
-        return [o for o in self.outcomes if o.failure is not None]
-
-    @property
-    def torn_commit_losses(self) -> int:
-        return sum(1 for o in self.outcomes if o.lost_committed_update)
-
-    def assert_clean(self) -> None:
-        if self.failures:
-            first = self.failures[0]
-            raise AssertionError(
-                f"{len(self.failures)} of {self.runs} crash states failed "
-                f"recovery; first: event {first.crash_at_event} "
-                f"tear={first.tear}: {first.failure}"
-            )
-
-
-class CrashPointSweep:
+class CrashPointSweep(Sweep):
     """Sweeps a scripted update workload over every crash point."""
+
+    outcome_type = CrashOutcome
+    TOTALS = ("lost_committed_update",)
 
     def __init__(
         self,
@@ -98,7 +73,7 @@ class CrashPointSweep:
         self.initial = initial
         self.pad_log_to_page = pad_log_to_page
         self.keep_versions = keep_versions
-        self.tear_modes = tear_modes
+        self.phases = [("crash", {"kind": ("crash",), "tear": tear_modes})]
         self._models = self._build_models()
 
     # -- the model ------------------------------------------------------------
@@ -149,54 +124,33 @@ class CrashPointSweep:
                 db.checkpoint()
             progress[0] += 1
 
-    def count_events(self) -> int:
-        """Dry run: total durable disk events the script generates."""
+    def dry_run(self) -> dict[str, int]:
+        """Total durable disk events the script generates."""
         injector = FailureInjector()
         fs = SimFS(clock=SimClock(), injector=injector)
         self._run_script(self._new_database(fs), [0])
-        return injector.events_seen
+        return {"crash": injector.events_seen}
 
-    def run(self, max_events: int | None = None) -> CrashSweepResult:
-        """The full sweep; returns per-crash-state outcomes."""
-        total = self.count_events()
-        swept = total if max_events is None else min(total, max_events)
-        result = CrashSweepResult(total_events=total)
-        for crash_at in range(1, swept + 1):
-            for tear in self.tear_modes:
-                result.outcomes.append(self._run_one(crash_at, tear))
-        return result
-
-    def _run_one(self, crash_at: int, tear: bool) -> CrashOutcome:
-        injector = FailureInjector(crash_at_event=crash_at, tear=tear)
+    def run_one(self, outcome: CrashOutcome) -> list[str]:
+        injector = FailureInjector(
+            crash_at_event=outcome.fault_at, tear=outcome.tear
+        )
         fs = SimFS(clock=SimClock(), injector=injector)
         progress = [0]
-        crashed = False
         try:
-            db = self._new_database(fs)
-            self._run_script(db, progress)
+            self._run_script(self._new_database(fs), progress)
         except SimulatedCrash:
-            crashed = True
-        completed = progress[0]
-        if not crashed:
-            return CrashOutcome(
-                crash_at, tear, completed, len(self._models) - 1, False
-            )
-
+            outcome.fired = True
+        outcome.completed_steps = progress[0]
+        if not outcome.fired:
+            return []
         fs.crash()
         injector.disarm()
-        try:
-            recovered = self._new_database(fs)
-            state = recovered.enquire(copy.deepcopy)
-        except Exception as exc:
-            return CrashOutcome(
-                crash_at, tear, completed, None, False,
-                failure=f"recovery raised {exc!r}",
-            )
-        return self._judge(crash_at, tear, completed, state)
+        state = self._new_database(fs).enquire(copy.deepcopy)
+        return self._judge(outcome, state)
 
-    def _judge(
-        self, crash_at: int, tear: bool, completed: int, state: dict
-    ) -> CrashOutcome:
+    def _judge(self, outcome: CrashOutcome, state: dict) -> list[str]:
+        completed = outcome.completed_steps
         updates_done = self._updates_within(completed)
         in_flight_is_update = (
             completed < len(self.steps) and self.steps[completed][0] == "update"
@@ -211,8 +165,9 @@ class CrashPointSweep:
             (j for j in range(len(self._models)) if state == self._models[j]),
             None,
         )
+        outcome.matched_model_index = matched
         if matched in allowed:
-            return CrashOutcome(crash_at, tear, completed, matched, False)
+            return []
         if (
             not self.pad_log_to_page
             and matched is not None
@@ -222,11 +177,9 @@ class CrashPointSweep:
             # committed entries sharing its page.  Recovery was still
             # *consistent* — an exact earlier prefix — but durability
             # was violated; the sweep reports it rather than failing.
-            return CrashOutcome(crash_at, tear, completed, matched, True)
-        return CrashOutcome(
-            crash_at, tear, completed, matched, False,
-            failure=(
-                f"recovered state matches model prefix {matched}, "
-                f"allowed {sorted(allowed)} (completed steps: {completed})"
-            ),
-        )
+            outcome.lost_committed_update = True
+            return []
+        return [
+            f"recovered state matches model prefix {matched}, "
+            f"allowed {sorted(allowed)} (completed steps: {completed})"
+        ]

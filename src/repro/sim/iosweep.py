@@ -54,14 +54,15 @@ to "the *replica set* heals the node":
   detect and repair it within two sync rounds, shipping only the
   diverged leaves rather than a full snapshot.
 
-Run standalone (the CI job does)::
+Run standalone (the CI job does; the capacity, repair and divergence
+scenarios run after the sweep)::
 
-    PYTHONPATH=src python -m repro.sim.iosweep
+    PYTHONPATH=src python -m repro.sim.sweep io
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 from repro.core import (
     CheckpointFailed,
@@ -71,11 +72,12 @@ from repro.core import (
     HEALTHY,
     OperationRegistry,
 )
-from repro.nameserver.recover import RecoveryFailed, ReplicaRecoverer
+from repro.nameserver.recover import ReplicaRecoverer
 from repro.nameserver.replication import Replica, ResilientReplicaGroup
 from repro.nameserver.tree import find_node, parse_path
 from repro.obs.flight import BLACKBOX_FILE, FlightRecorder, load_blackbox
 from repro.sim.clock import SimClock
+from repro.sim.sweep import Outcome, Sweep
 from repro.storage import FaultyFS, MediaFaultInjector, SimFS
 from repro.tools.fsck import fsck_directory, repair_directory
 from repro.tools.postmortem import build_timeline, render_timeline, summarize
@@ -103,6 +105,15 @@ KINDS = {
 }
 
 SWEEP_DURABILITIES = ("group", "immediate")
+
+#: flight-event kinds every degraded run's black box must contain (the
+#: first only when a fault was injected, not for an organic disk-full)
+REQUIRED_BLACKBOX_KINDS = (
+    "fault_injected",
+    "storage_fault",
+    "health_transition",
+    "emergency_checkpoint",
+)
 
 
 def sweep_operations() -> OperationRegistry:
@@ -139,73 +150,37 @@ def model_states(steps: list[Step]) -> list[dict]:
     return states
 
 
+def _check_kinds(kinds: tuple[str, ...]) -> None:
+    unknown = set(kinds) - set(KINDS)
+    if unknown:
+        raise ValueError(f"unknown fault kinds: {sorted(unknown)}")
+
+
 @dataclass
-class IoFaultOutcome:
+class IoFaultOutcome(Outcome):
     """What one faulted run looked like against the model."""
 
-    fault_at_event: int
-    kind: str
-    durability: str
-    acked: int
-    degraded: bool
-    health: str
-    faults_injected: int
+    durability: str = ""
+    acked: int = 0
+    degraded: bool = False
+    health: str = ""
+    faults_injected: int = 0
     repaired: bool = False
-    failure: str | None = None
 
 
-@dataclass
-class IoSweepResult:
-    total_events: int
-    outcomes: list[IoFaultOutcome] = field(default_factory=list)
-
-    @property
-    def runs(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def failures(self) -> list[IoFaultOutcome]:
-        return [o for o in self.outcomes if o.failure is not None]
-
-    @property
-    def degraded_runs(self) -> int:
-        return sum(1 for o in self.outcomes if o.degraded)
-
-    @property
-    def repaired_runs(self) -> int:
-        return sum(1 for o in self.outcomes if o.repaired)
-
-    def assert_clean(self) -> None:
-        if self.failures:
-            first = self.failures[0]
-            raise AssertionError(
-                f"{len(self.failures)} of {self.runs} io-fault states "
-                f"violated the health invariants; first: event "
-                f"{first.fault_at_event} kind={first.kind} "
-                f"durability={first.durability}: {first.failure}"
-            )
-
-    def summary(self) -> str:
-        return (
-            f"{self.runs} runs over {self.total_events} disk events: "
-            f"{len(self.failures)} failures, {self.degraded_runs} degraded "
-            f"read-only, {self.repaired_runs} repaired before restart"
-        )
-
-    def report(self) -> dict:
-        """JSON-serialisable report (the CI job uploads this artifact)."""
-        return {
-            "total_events": self.total_events,
-            "runs": self.runs,
-            "failures": len(self.failures),
-            "degraded_runs": self.degraded_runs,
-            "repaired_runs": self.repaired_runs,
-            "outcomes": [asdict(o) for o in self.outcomes],
-        }
-
-
-class IoFaultSweep:
+class IoFaultSweep(Sweep):
     """Sweeps a scripted workload over every runtime disk-fault point."""
+
+    outcome_type = IoFaultOutcome
+    TOTALS = ("degraded", "repaired")
+    FLAGS = {
+        "--kinds": {"dest": "kinds", "nargs": "+", "choices": tuple(KINDS)},
+        "--durability": {
+            "dest": "durabilities",
+            "nargs": "+",
+            "choices": SWEEP_DURABILITIES,
+        },
+    }
 
     def __init__(
         self,
@@ -214,21 +189,23 @@ class IoFaultSweep:
         durabilities: tuple[str, ...] = SWEEP_DURABILITIES,
         fault_retries: int = 2,
     ) -> None:
-        unknown = set(kinds) - set(KINDS)
-        if unknown:
-            raise ValueError(f"unknown fault kinds: {sorted(unknown)}")
+        _check_kinds(kinds)
         self.steps = list(DEFAULT_STEPS if steps is None else steps)
-        self.kinds = kinds
         self.durabilities = durabilities
+        self.phases = [("io", {"kind": kinds, "durability": durabilities})]
         self.fault_retries = fault_retries
         self._models = model_states(self.steps)
-        self._updates = len(self._models) - 1
 
     # -- execution ------------------------------------------------------------
 
-    def _build(self, injector: MediaFaultInjector, durability: str):
+    def _build(
+        self,
+        injector: MediaFaultInjector,
+        durability: str,
+        capacity_pages: int | None = None,
+    ):
         clock = SimClock()
-        prime = SimFS(clock=clock)
+        prime = SimFS(clock=clock, capacity_pages=capacity_pages)
         spare = SimFS(clock=clock)
         # One recorder shared by the injector and the database: the
         # injected fault and its consequences land in one timeline.
@@ -269,56 +246,37 @@ class IoFaultSweep:
                 acked += 1
         return acked, False
 
-    def count_events(self) -> int:
-        """Dry run: total counted disk operations the script generates."""
+    def dry_run(self) -> dict[str, int]:
+        """Total counted disk operations the script generates."""
         injector = MediaFaultInjector()
         _prime, _spare, db = self._build(injector, self.durabilities[0])
         self._drive(db)
         db.close()
-        return injector.events_seen
+        return {"io": injector.events_seen}
 
-    def run(self, max_events: int | None = None) -> IoSweepResult:
-        """The full sweep; returns per-fault-state outcomes."""
-        total = self.count_events()
-        swept = total if max_events is None else min(total, max_events)
-        result = IoSweepResult(total_events=total)
-        for fault_at in range(1, swept + 1):
-            for kind in self.kinds:
-                for durability in self.durabilities:
-                    result.outcomes.append(
-                        self._run_one(fault_at, kind, durability)
-                    )
-        return result
+    def companions(self, max_events: int | None) -> dict:
+        return {
+            **{f"capacity[{d}]": run_capacity(d) for d in self.durabilities},
+            "repair": ReplicaRepairSweep().run(max_events),
+            "divergence": run_divergence(),
+        }
 
-    def _run_one(
-        self, fault_at: int, kind: str, durability: str
-    ) -> IoFaultOutcome:
-        persistent, error = KINDS[kind]
+    def run_one(self, outcome: IoFaultOutcome) -> list[str]:
+        persistent, error = KINDS[outcome.kind]
         injector = MediaFaultInjector(
-            fault_at_event=fault_at, persistent=persistent, error=error
+            fault_at_event=outcome.fault_at, persistent=persistent, error=error
         )
-        prime, spare, db = self._build(injector, durability)
-        failures: list[str] = []
-        try:
-            acked, degraded = self._drive(db)
-        except Exception as exc:  # noqa: BLE001 - any escape is a finding
-            return IoFaultOutcome(
-                fault_at, kind, durability, 0, False, db.health,
-                len(injector.injected),
-                failure=f"workload raised outside the typed surface: {exc!r}",
-            )
-        outcome = IoFaultOutcome(
-            fault_at, kind, durability, acked, degraded, db.health,
-            len(injector.injected),
-        )
-        allowed = self._allowed_states(acked)
-        self._judge_live(db, spare, kind, degraded, allowed, failures)
-        self._judge_restart(prime, injector, kind, acked, allowed,
-                            outcome, failures)
-        if failures:
-            outcome.failure = "; ".join(failures)
+        prime, spare, db = self._build(injector, outcome.durability)
+        outcome.acked, outcome.degraded = self._drive(db)
+        outcome.completed = not outcome.degraded
+        outcome.faults_injected = len(injector.injected)
+        outcome.fired = outcome.faults_injected > 0
+        allowed = self._allowed_states(outcome.acked)
+        failures = self._judge_live(outcome, db, spare, allowed)
+        injector.disarm()  # the device is replaced before the restart
+        failures += self._judge_restart(outcome, prime, allowed)
         outcome.health = db.health
-        return outcome
+        return failures
 
     def _allowed_states(self, acked: int) -> list[dict]:
         """The in-memory states consistent with ``acked`` acknowledgements.
@@ -334,25 +292,23 @@ class IoFaultSweep:
 
     def _judge_live(
         self,
+        outcome: IoFaultOutcome,
         db: Database,
         spare: SimFS,
-        kind: str,
-        degraded: bool,
         allowed: list[dict],
-        failures: list[str],
-    ) -> None:
+    ) -> list[str]:
+        failures: list[str] = []
         try:
             memory = db.enquire(lambda root: dict(root))
         except Exception as exc:  # noqa: BLE001
-            failures.append(f"enquiry refused after fault: {exc!r}")
-            return
+            return [f"enquiry refused after fault: {exc!r}"]
         if memory not in allowed:
             failures.append(
                 f"in-memory state {memory!r} matches no acked prefix "
                 f"(allowed: {allowed!r})"
             )
-        if kind == "transient":
-            if degraded or db.health != HEALTHY:
+        if outcome.kind == "transient":
+            if outcome.degraded or db.health != HEALTHY:
                 failures.append(
                     f"a single transient fault left health={db.health!r} "
                     f"instead of riding it out with a retry"
@@ -362,14 +318,13 @@ class IoFaultSweep:
                     f"transient run finished with {memory!r}, model says "
                     f"{self._models[-1]!r}"
                 )
-            return
+            return failures
         # Persistent kinds (hard error / disk full) must degrade.
-        if not degraded:
-            failures.append(
+        if not outcome.degraded:
+            return failures + [
                 "persistent fault was injected but the workload completed "
                 "without degrading"
-            )
-            return
+            ]
         if db.health != DEGRADED_READ_ONLY:
             failures.append(
                 f"degraded run reports health={db.health!r}, expected "
@@ -384,35 +339,32 @@ class IoFaultSweep:
         # recover to exactly the in-memory state at degrade time.  The
         # black box dumped next to it must survive the crash too.
         spare.crash()
-        self._judge_blackbox(db, spare, failures)
+        failures += self._judge_blackbox(outcome, db, spare)
         try:
             restored = Database(
                 spare, initial=dict, operations=sweep_operations()
             )
             recovered = restored.enquire(lambda root: dict(root))
         except Exception as exc:  # noqa: BLE001
-            failures.append(f"emergency snapshot unrecoverable: {exc!r}")
-            return
+            return failures + [f"emergency snapshot unrecoverable: {exc!r}"]
         if recovered != memory:
             failures.append(
                 f"emergency snapshot recovered {recovered!r}, in-memory "
                 f"state was {memory!r}"
             )
-
-    #: flight-event kinds every degraded run's black box must contain
-    REQUIRED_BLACKBOX_KINDS = (
-        "fault_injected",
-        "storage_fault",
-        "health_transition",
-        "emergency_checkpoint",
-    )
+        return failures
 
     def _judge_blackbox(
-        self, db: Database, spare: SimFS, failures: list[str]
-    ) -> None:
+        self, outcome: IoFaultOutcome, db: Database, spare: SimFS
+    ) -> list[str]:
         """A degraded run must leave a renderable, causal black box."""
+        failures: list[str] = []
+        required = [
+            kind for kind in REQUIRED_BLACKBOX_KINDS
+            if outcome.faults_injected or kind != "fault_injected"
+        ]
         live_kinds = set(db.flight.kinds())
-        for kind in self.REQUIRED_BLACKBOX_KINDS:
+        for kind in required:
             if kind not in live_kinds:
                 failures.append(
                     f"flight recorder has no {kind!r} event after a "
@@ -421,13 +373,12 @@ class IoFaultSweep:
         try:
             dump = load_blackbox(spare.read(BLACKBOX_FILE))
         except Exception as exc:  # noqa: BLE001
-            failures.append(
+            return failures + [
                 f"black box missing or invalid on the crashed spare: "
                 f"{exc!r}"
-            )
-            return
+            ]
         kinds = {event.get("kind") for event in dump["events"]}
-        for kind in self.REQUIRED_BLACKBOX_KINDS:
+        for kind in required:
             if kind not in kinds:
                 failures.append(
                     f"dumped black box lacks the {kind!r} event "
@@ -450,19 +401,13 @@ class IoFaultSweep:
                 failures.append("postmortem rendered an empty timeline")
         except Exception as exc:  # noqa: BLE001
             failures.append(f"postmortem failed to render the dump: {exc!r}")
+        return failures
 
     def _judge_restart(
-        self,
-        prime: SimFS,
-        injector: MediaFaultInjector,
-        kind: str,
-        acked: int,
-        allowed: list[dict],
-        outcome: IoFaultOutcome,
-        failures: list[str],
-    ) -> None:
+        self, outcome: IoFaultOutcome, prime: SimFS, allowed: list[dict]
+    ) -> list[str]:
         """Halt, fsck (repairing if needed), restart: no acked update lost."""
-        injector.disarm()  # the device is replaced before the restart
+        failures: list[str] = []
         prime.crash()
         report = fsck_directory(prime)
         if report.exit_status() != 0:
@@ -480,9 +425,8 @@ class IoFaultSweep:
             )
             recovered = restarted.enquire(lambda root: dict(root))
         except Exception as exc:  # noqa: BLE001
-            failures.append(f"restart after repair failed: {exc!r}")
-            return
-        if kind == "transient":
+            return failures + [f"restart after repair failed: {exc!r}"]
+        if outcome.kind == "transient":
             if recovered != self._models[-1]:
                 failures.append(
                     f"transient run recovered {recovered!r}, model says "
@@ -491,8 +435,10 @@ class IoFaultSweep:
         elif recovered not in allowed:
             failures.append(
                 f"restart recovered {recovered!r}, which loses or invents "
-                f"an acked update (acked={acked}, allowed: {allowed!r})"
+                f"an acked update (acked={outcome.acked}, allowed: "
+                f"{allowed!r})"
             )
+        return failures
 
 
 def run_capacity(
@@ -503,73 +449,28 @@ def run_capacity(
     """The organic disk-full scenario: a finite page budget fills up.
 
     Drives puts into a :class:`SimFS` with ``capacity_pages`` until the
-    allocator refuses, then checks the same invariants as the sweep:
-    degraded read-only, enquiries served, no acked update lost, spare
-    snapshot recoverable, repaired directory restarts clean.  Returns a
-    list of invariant violations (empty = clean).
+    allocator refuses, then judges the run exactly as the sweep judges an
+    injected disk-full fault: degraded read-only, enquiries served, spare
+    snapshot and black box recoverable, repaired directory restarts with
+    no acked update lost.  Returns a list of invariant violations (empty
+    = clean).
     """
-    failures: list[str] = []
-    clock = SimClock()
-    prime = SimFS(clock=clock, capacity_pages=capacity_pages)
-    spare = SimFS(clock=clock)
-    db = Database(
-        prime,
-        initial=dict,
-        operations=sweep_operations(),
-        clock=clock,
-        durability=durability,
-        spare_fs=spare,
-        fault_retries=1,
+    steps = [("put", f"k{i}", "x" * value_bytes) for i in range(200)]
+    sweep = IoFaultSweep(steps, fault_retries=1)
+    prime, spare, db = sweep._build(
+        MediaFaultInjector(), durability, capacity_pages
     )
-    acked: dict = {}
-    degraded = False
-    for i in range(200):
-        key, value = f"k{i}", "x" * value_bytes
-        try:
-            db.update("put", key, value)
-        except DatabaseDegraded:
-            degraded = True
-            break
-        acked[key] = value
-    if not degraded:
+    outcome = IoFaultOutcome(0, "disk_full", "capacity", durability=durability)
+    outcome.acked, outcome.degraded = sweep._drive(db)
+    if not outcome.degraded:
         return [
-            f"{capacity_pages}-page budget never filled after 200 updates"
+            f"{capacity_pages}-page budget never filled after {len(steps)} "
+            f"updates"
         ]
-    if db.health != DEGRADED_READ_ONLY:
-        failures.append(f"health={db.health!r} after disk full")
-    memory = db.enquire(lambda root: dict(root))
-    extra = set(memory) - set(acked)
-    if not all(memory.get(k) == v for k, v in acked.items()) or len(extra) > 1:
-        failures.append("in-memory state does not match the acked prefix")
-    try:
-        db.update("put", "probe", -1)
-        failures.append("degraded database accepted an update")
-    except DatabaseDegraded:
-        pass
-    spare.crash()
-    try:
-        restored = Database(spare, initial=dict, operations=sweep_operations())
-        if restored.enquire(lambda root: dict(root)) != memory:
-            failures.append("emergency snapshot does not match memory")
-    except Exception as exc:  # noqa: BLE001
-        failures.append(f"emergency snapshot unrecoverable: {exc!r}")
-    prime.crash()
-    report = fsck_directory(prime)
-    if report.exit_status() != 0:
-        repair_directory(prime)
-        report = fsck_directory(prime)
-        if report.exit_status() != 0:
-            failures.append("directory not clean after fsck repair")
-    try:
-        restarted = Database(prime, initial=dict, operations=sweep_operations())
-        recovered = restarted.enquire(lambda root: dict(root))
-    except Exception as exc:  # noqa: BLE001
-        failures.append(f"restart after disk full failed: {exc!r}")
-        return failures
-    missing = [k for k, v in acked.items() if recovered.get(k) != v]
-    if missing:
-        failures.append(f"acked updates lost across restart: {missing}")
-    return failures
+    allowed = sweep._allowed_states(outcome.acked)
+    return sweep._judge_live(outcome, db, spare, allowed) + (
+        sweep._judge_restart(outcome, prime, allowed)
+    )
 
 
 # -- replica repair: every persistent fault healed via a peer -------------------
@@ -590,64 +491,17 @@ REPAIR_KINDS = ("persistent", "disk_full")
 
 
 @dataclass
-class RepairOutcome:
+class RepairOutcome(Outcome):
     """One faulted-then-repaired run against the replica-set model."""
 
-    fault_at_event: int
-    kind: str
-    acked: int
-    degraded: bool
+    acked: int = 0
+    degraded: bool = False
     recovered: bool = False
     bytes_shipped: int = 0
     entries_replayed: int = 0
-    resumed: bool = False
-    failure: str | None = None
 
 
-@dataclass
-class RepairSweepResult:
-    total_events: int
-    outcomes: list[RepairOutcome] = field(default_factory=list)
-
-    @property
-    def runs(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def failures(self) -> list[RepairOutcome]:
-        return [o for o in self.outcomes if o.failure is not None]
-
-    @property
-    def recovered_runs(self) -> int:
-        return sum(1 for o in self.outcomes if o.recovered)
-
-    def assert_clean(self) -> None:
-        if self.failures:
-            first = self.failures[0]
-            raise AssertionError(
-                f"{len(self.failures)} of {self.runs} persistent-fault "
-                f"runs did not end HEALTHY via peer repair; first: event "
-                f"{first.fault_at_event} kind={first.kind}: {first.failure}"
-            )
-
-    def summary(self) -> str:
-        return (
-            f"replica repair: {self.runs} runs over {self.total_events} "
-            f"disk events: {len(self.failures)} failures, "
-            f"{self.recovered_runs} healed via peer snapshot + log tail"
-        )
-
-    def report(self) -> dict:
-        return {
-            "total_events": self.total_events,
-            "runs": self.runs,
-            "failures": len(self.failures),
-            "recovered_runs": self.recovered_runs,
-            "outcomes": [asdict(o) for o in self.outcomes],
-        }
-
-
-class ReplicaRepairSweep:
+class ReplicaRepairSweep(Sweep):
     """The io-fault sweep lifted to a replica set that heals itself.
 
     The primary runs over a :class:`FaultyFS`; a healthy peer replica
@@ -660,19 +514,20 @@ class ReplicaRepairSweep:
     files gone after cutover.
     """
 
+    outcome_type = RepairOutcome
+    TOTALS = ("recovered",)
+
     def __init__(
         self,
         steps: list[Step] | None = None,
         kinds: tuple[str, ...] = REPAIR_KINDS,
         fault_retries: int = 2,
     ) -> None:
-        unknown = set(kinds) - set(KINDS)
-        if unknown:
-            raise ValueError(f"unknown fault kinds: {sorted(unknown)}")
+        _check_kinds(kinds)
         if not all(KINDS[kind][0] for kind in kinds):
             raise ValueError("the repair sweep only sweeps persistent kinds")
         self.steps = list(REPAIR_STEPS if steps is None else steps)
-        self.kinds = kinds
+        self.phases = [("io", {"kind": kinds})]
         self.fault_retries = fault_retries
 
     def _build(self, injector: MediaFaultInjector):
@@ -722,46 +577,30 @@ class ReplicaRepairSweep:
             primary.propagate()
         return acked, records, checkpointed_records, False
 
-    def count_events(self) -> int:
-        """Dry run: counted disk operations on the primary's device."""
+    def dry_run(self) -> dict[str, int]:
+        """Counted disk operations on the primary's device."""
         injector = MediaFaultInjector()
         _prime, primary, peer, _flight, _clock = self._build(injector)
         self._drive(primary, peer)
         primary.db.close()
-        return injector.events_seen
+        return {"io": injector.events_seen}
 
-    def run(self, max_events: int | None = None) -> RepairSweepResult:
-        total = self.count_events()
-        swept = total if max_events is None else min(total, max_events)
-        result = RepairSweepResult(total_events=total)
-        for fault_at in range(1, swept + 1):
-            for kind in self.kinds:
-                result.outcomes.append(self._run_one(fault_at, kind))
-        return result
-
-    def _run_one(self, fault_at: int, kind: str) -> RepairOutcome:
-        persistent, error = KINDS[kind]
+    def run_one(self, outcome: RepairOutcome) -> list[str]:
+        persistent, error = KINDS[outcome.kind]
         injector = MediaFaultInjector(
-            fault_at_event=fault_at, persistent=persistent, error=error
+            fault_at_event=outcome.fault_at, persistent=persistent, error=error
         )
         prime, primary, peer, flight, clock = self._build(injector)
-        try:
-            acked, records, ckpt_records, degraded = self._drive(
-                primary, peer
-            )
-        except Exception as exc:  # noqa: BLE001 - any escape is a finding
-            return RepairOutcome(
-                fault_at, kind, 0, False,
-                failure=f"workload raised outside the typed surface: {exc!r}",
-            )
-        outcome = RepairOutcome(fault_at, kind, len(acked), degraded)
-        if not degraded:
-            outcome.failure = (
+        acked, records, ckpt_records, outcome.degraded = self._drive(
+            primary, peer
+        )
+        outcome.acked = len(acked)
+        outcome.fired = bool(injector.injected)
+        if not outcome.degraded:
+            return [
                 "persistent fault was injected but the primary completed "
                 "without degrading"
-            )
-            return outcome
-        failures: list[str] = []
+            ]
         monitor = primary.db.health_monitor
         injector.disarm()  # the device is replaced before the repair
         try:
@@ -777,21 +616,14 @@ class ReplicaRepairSweep:
             flight=flight,
             health_monitor=monitor,
         )
-        try:
-            replica = recoverer.run()
-        except RecoveryFailed as exc:
-            outcome.failure = f"peer repair failed: {exc}"
-            return outcome
+        replica = recoverer.run()
         report = recoverer.report
         outcome.recovered = True
         outcome.bytes_shipped = report.bytes_shipped
         outcome.entries_replayed = report.entries_replayed
         outcome.resumed = report.resumed
-        self._judge(replica, peer, monitor, flight, report, acked, records,
-                    ckpt_records, failures)
-        if failures:
-            outcome.failure = "; ".join(failures)
-        return outcome
+        return self._judge(replica, peer, monitor, flight, report, acked,
+                           records - (ckpt_records or 0))
 
     def _judge(
         self,
@@ -801,10 +633,9 @@ class ReplicaRepairSweep:
         flight: FlightRecorder,
         report,
         acked: dict,
-        records: int,
-        ckpt_records: int | None,
-        failures: list[str],
-    ) -> None:
+        expected_tail: int,
+    ) -> list[str]:
+        failures: list[str] = []
         if replica.db.health != HEALTHY:
             failures.append(
                 f"recovered replica reports health={replica.db.health!r}"
@@ -839,7 +670,6 @@ class ReplicaRepairSweep:
                 failures.append(f"recovery skipped the {stage!r} stage")
         if report.bytes_shipped <= 0:
             failures.append("no checkpoint bytes were shipped from the peer")
-        expected_tail = records - (ckpt_records or 0)
         if report.entries_replayed != expected_tail:
             failures.append(
                 f"{report.entries_replayed} history records caught up, "
@@ -850,6 +680,7 @@ class ReplicaRepairSweep:
             failures.append(
                 "the flight recorder never saw recovery_complete"
             )
+        return failures
 
 
 def run_divergence(max_rounds: int = 2) -> list[str]:
@@ -924,87 +755,3 @@ def run_divergence(max_rounds: int = 2) -> list[str]:
     if follow_up.tree_mismatches != 0:
         failures.append("a repaired pair still reports tree mismatches")
     return failures
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point: run the sweep, print the summary, exit 0/1."""
-    import argparse
-    import json
-
-    parser = argparse.ArgumentParser(
-        description="io-fault sweep for the storage health state machine"
-    )
-    parser.add_argument(
-        "--max-events", type=int, default=None,
-        help="sweep only fault points 1..N (default: all)",
-    )
-    parser.add_argument(
-        "--kinds", nargs="+", default=list(KINDS),
-        choices=list(KINDS),
-    )
-    parser.add_argument(
-        "--durability", nargs="+", default=list(SWEEP_DURABILITIES),
-        choices=list(SWEEP_DURABILITIES),
-    )
-    parser.add_argument(
-        "--report", default=None,
-        help="write a JSON report of every outcome to this path",
-    )
-    parser.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
-
-    sweep = IoFaultSweep(
-        kinds=tuple(args.kinds), durabilities=tuple(args.durability)
-    )
-    result = sweep.run(max_events=args.max_events)
-    print(result.summary())
-    if args.verbose:
-        for outcome in result.outcomes:
-            status = "FAIL" if outcome.failure else "ok"
-            print(
-                f"  event {outcome.fault_at_event:3d} {outcome.kind:10s} "
-                f"{outcome.durability:9s} acked={outcome.acked} "
-                f"health={outcome.health} {status}"
-            )
-    for outcome in result.failures:
-        print(
-            f"FAIL event {outcome.fault_at_event} kind={outcome.kind} "
-            f"durability={outcome.durability}: {outcome.failure}"
-        )
-    capacity_failures: list[str] = []
-    for durability in args.durability:
-        for failure in run_capacity(durability):
-            capacity_failures.append(f"capacity[{durability}]: {failure}")
-            print(f"FAIL {capacity_failures[-1]}")
-    if not capacity_failures:
-        print("capacity-budget disk-full scenario: clean")
-    repair_result = ReplicaRepairSweep().run(max_events=args.max_events)
-    print(repair_result.summary())
-    for outcome in repair_result.failures:
-        print(
-            f"FAIL repair event {outcome.fault_at_event} "
-            f"kind={outcome.kind}: {outcome.failure}"
-        )
-    divergence_failures = run_divergence()
-    for failure in divergence_failures:
-        print(f"FAIL divergence: {failure}")
-    if not divergence_failures:
-        print("anti-entropy divergence scenario: clean")
-    if args.report is not None:
-        report = result.report()
-        report["capacity_failures"] = capacity_failures
-        report["repair"] = repair_result.report()
-        report["divergence_failures"] = divergence_failures
-        with open(args.report, "w", encoding="ascii") as f:
-            json.dump(report, f, indent=2)
-        print(f"report written to {args.report}")
-    return 1 if (
-        result.failures
-        or capacity_failures
-        or repair_result.failures
-        or divergence_failures
-    ) else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

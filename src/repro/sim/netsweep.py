@@ -25,15 +25,15 @@ The protocol mirrors the crash sweep exactly:
 The workload deliberately includes ``incr`` — a non-idempotent update —
 so a double execution cannot hide: re-running it changes the result.
 
-Run standalone (the CI job does)::
+Run standalone (the CI job does, once per server model)::
 
-    PYTHONPATH=src python -m repro.sim.netsweep
+    PYTHONPATH=src python -m repro.sim.sweep net --server-model eventloop
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.rpc import (
     EventLoopServer,
@@ -52,7 +52,9 @@ from repro.rpc import (
     TcpTransport,
     Void,
 )
+from repro.rpc.faults import FAULT_KINDS
 from repro.sim.clock import SimClock
+from repro.sim.sweep import Outcome, Sweep
 
 #: What carries the calls: "loopback" (in-process, fully simulated — the
 #: default and the fastest) or a real TCP front end ("threaded" /
@@ -138,60 +140,31 @@ def run_model(steps: list[Step]) -> tuple[dict[str, int], list[object]]:
 
 
 @dataclass
-class NetFaultOutcome:
+class NetFaultOutcome(Outcome):
     """What one faulted run looked like against the model."""
 
-    fault_at_event: int
-    kind: str
     #: where the fault landed ("request"/"reply"), from the injector
-    point: str | None
-    acked_calls: int
-    retries: int
-    reply_cache_hits: int
-    update_executions: int
-    failure: str | None = None
+    point: str | None = None
+    acked_calls: int = 0
+    retries: int = 0
+    reply_cache_hits: int = 0
+    update_executions: int = 0
 
 
-@dataclass
-class NetSweepResult:
-    total_events: int
-    outcomes: list[NetFaultOutcome] = field(default_factory=list)
-
-    @property
-    def runs(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def failures(self) -> list[NetFaultOutcome]:
-        return [o for o in self.outcomes if o.failure is not None]
-
-    @property
-    def total_retries(self) -> int:
-        return sum(o.retries for o in self.outcomes)
-
-    @property
-    def total_cache_hits(self) -> int:
-        return sum(o.reply_cache_hits for o in self.outcomes)
-
-    def assert_clean(self) -> None:
-        if self.failures:
-            first = self.failures[0]
-            raise AssertionError(
-                f"{len(self.failures)} of {self.runs} network-fault states "
-                f"violated at-most-once; first: event {first.fault_at_event} "
-                f"kind={first.kind}: {first.failure}"
-            )
-
-    def summary(self) -> str:
-        return (
-            f"{self.runs} runs over {self.total_events} network events: "
-            f"{len(self.failures)} failures, {self.total_retries} retries, "
-            f"{self.total_cache_hits} reply-cache hits"
-        )
-
-
-class NetworkFaultSweep:
+class NetworkFaultSweep(Sweep):
     """Sweeps a scripted RPC workload over every network fault point."""
+
+    outcome_type = NetFaultOutcome
+    TOTALS = ("retries", "reply_cache_hits")
+    FLAGS = {
+        "--kinds": {"dest": "kinds", "nargs": "+", "choices": FAULT_KINDS},
+        "--server-model": {
+            "dest": "server_model",
+            "choices": SWEEP_SERVER_MODELS,
+            "help": "carry calls in-process (loopback, default) or through "
+            "a real TCP front end (threaded / eventloop)",
+        },
+    }
 
     def __init__(
         self,
@@ -207,7 +180,7 @@ class NetworkFaultSweep:
                 f"one of {SWEEP_SERVER_MODELS}"
             )
         self.steps = list(DEFAULT_STEPS if steps is None else steps)
-        self.kinds = kinds
+        self.phases = [("network", {"kind": kinds})]
         self.server_model = server_model
         #: "" opts out of at-most-once — used by tests to prove the sweep
         #: catches the double executions that then occur
@@ -271,70 +244,46 @@ class NetworkFaultSweep:
             returns.append(getattr(proxy, op)(*step[1:]))
         return returns
 
-    def count_events(self) -> int:
-        """Dry run: total network events the script generates."""
+    def dry_run(self) -> dict[str, int]:
+        """Total network events the script generates."""
         injector = NetworkFaultInjector()
         _, _, client, closer = self._build(injector, seed=0)
         try:
             self._drive(client)
         finally:
             closer()
-        return injector.events_seen
+        return {"network": injector.events_seen}
 
-    def run(self, max_events: int | None = None) -> NetSweepResult:
-        """The full sweep; returns per-fault-state outcomes."""
-        total = self.count_events()
-        swept = total if max_events is None else min(total, max_events)
-        result = NetSweepResult(total_events=total)
-        for fault_at in range(1, swept + 1):
-            for kind in self.kinds:
-                result.outcomes.append(self._run_one(fault_at, kind))
-        return result
-
-    def _run_one(self, fault_at: int, kind: str) -> NetFaultOutcome:
-        injector = NetworkFaultInjector(fault_at_event=fault_at, kind=kind)
-        seed = fault_at * 8 + len(kind)  # deterministic, distinct per run
+    def run_one(self, outcome: NetFaultOutcome) -> list[str]:
+        injector = NetworkFaultInjector(
+            fault_at_event=outcome.fault_at, kind=outcome.kind
+        )
+        seed = outcome.fault_at * 8 + len(outcome.kind)  # distinct per run
         service, server, client, closer = self._build(injector, seed)
-        acked = 0
-        returns: list[object] = []
         try:
-            try:
-                returns = self._drive(client)
-                acked = len(returns)
-            except Exception as exc:
-                point = injector.injected[0][2] if injector.injected else None
-                return NetFaultOutcome(
-                    fault_at, kind, point, acked,
-                    client.stats.retries, server.reply_cache.hits,
-                    self._update_executions(service),
-                    failure=f"workload did not complete: {exc!r}",
-                )
-            return self._judge(fault_at, kind, injector, service, server,
-                               client, returns)
+            returns = self._drive(client)
         finally:
+            if injector.injected:
+                outcome.fired = True
+                outcome.point = injector.injected[0][2]
+            outcome.retries = client.stats.retries
+            outcome.reply_cache_hits = server.reply_cache.hits
+            outcome.update_executions = sum(
+                1 for e in service.executions if e[0] in UPDATE_OPS
+            )
             closer()
-
-    def _update_executions(self, service: SweepService) -> int:
-        return sum(1 for e in service.executions if e[0] in UPDATE_OPS)
+        outcome.completed = True
+        outcome.acked_calls = len(returns)
+        return self._judge(outcome, service, returns)
 
     def _judge(
         self,
-        fault_at: int,
-        kind: str,
-        injector: NetworkFaultInjector,
+        outcome: NetFaultOutcome,
         service: SweepService,
-        server: RpcServer,
-        client: RpcClient,
         returns: list[object],
-    ) -> NetFaultOutcome:
-        point = injector.injected[0][2] if injector.injected else None
+    ) -> list[str]:
         expected_updates = sum(
             1 for step in self.steps if step[0] in UPDATE_OPS
-        )
-        outcome = NetFaultOutcome(
-            fault_at, kind, point, len(returns),
-            client.stats.retries, server.reply_cache.hits,
-            self._update_executions(service),
         )
         failures: list[str] = []
         if service.state != self._model_state:
@@ -354,64 +303,14 @@ class NetworkFaultSweep:
                 f"client observed {returns!r}, model says "
                 f"{self._model_returns!r}"
             )
-        if injector.injected and kind in ("drop", "sever"):
+        if outcome.fired and outcome.kind in ("drop", "sever"):
             if outcome.retries < 1:
                 failures.append(
                     "fault was injected but the client never retried"
                 )
-            if point == "reply" and outcome.reply_cache_hits < 1:
+            if outcome.point == "reply" and outcome.reply_cache_hits < 1:
                 failures.append(
                     "reply was dropped after execution but the retry was "
                     "not answered from the reply cache"
                 )
-        if failures:
-            outcome.failure = "; ".join(failures)
-        return outcome
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point: run the sweep, print the summary, exit 0/1."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="network-fault sweep for at-most-once RPC semantics"
-    )
-    parser.add_argument(
-        "--max-events", type=int, default=None,
-        help="sweep only fault points 1..N (default: all)",
-    )
-    parser.add_argument(
-        "--kinds", nargs="+", default=["drop", "sever"],
-        choices=["drop", "sever", "delay"],
-    )
-    parser.add_argument(
-        "--server-model", choices=SWEEP_SERVER_MODELS, default="loopback",
-        help="carry calls in-process (loopback, default) or through a "
-        "real TCP front end (threaded / eventloop)",
-    )
-    parser.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
-
-    sweep = NetworkFaultSweep(
-        kinds=tuple(args.kinds), server_model=args.server_model
-    )
-    result = sweep.run(max_events=args.max_events)
-    print(result.summary())
-    if args.verbose:
-        for outcome in result.outcomes:
-            status = "FAIL" if outcome.failure else "ok"
-            print(
-                f"  event {outcome.fault_at_event:3d} {outcome.kind:6s} "
-                f"({outcome.point or '-':7s}) retries={outcome.retries} "
-                f"cache_hits={outcome.reply_cache_hits} {status}"
-            )
-    for outcome in result.failures:
-        print(
-            f"FAIL event {outcome.fault_at_event} kind={outcome.kind}: "
-            f"{outcome.failure}"
-        )
-    return 1 if result.failures else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+        return failures

@@ -38,15 +38,15 @@ across every stage boundary, so two quantifications apply:
    must renegotiate — once — against a checkpoint the source takes on
    request, under the same faults and crashes.
 
-Run standalone (the CI job does)::
+Run standalone (the CI job does; the wedge runs after the plain sweep)::
 
-    PYTHONPATH=src python -m repro.sim.recoversweep
+    PYTHONPATH=src python -m repro.sim.sweep recover
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 from repro.core import HEALTHY
 from repro.core.version import read_current_version
@@ -60,15 +60,14 @@ from repro.rpc import (
     LAN_1987,
     LoopbackTransport,
     NetworkFaultInjector,
-    NullNetworkInjector,
     RetryPolicy,
     RpcServer,
 )
+from repro.rpc.faults import FAULT_KINDS
 from repro.sim.clock import SimClock
+from repro.sim.sweep import AtCall, Outcome, Sweep
 from repro.storage import SimFS
-
-#: network fault kinds the sweep schedules (see repro.rpc.faults)
-SWEEP_KINDS = ("drop", "sever", "delay")
+from repro.storage.errors import SimulatedCrash
 
 #: The source replica's seed: binds on both sides of a checkpoint, with
 #: a re-bound name, so the shipped snapshot and the log tail both carry
@@ -85,88 +84,38 @@ SOURCE_TAIL: list[tuple[str, object]] = [
 ]
 
 
-class SimulatedCrash(Exception):
-    """Raised out of the stage observer to model a machine halt."""
-
-
 @dataclass
-class RecoveryFaultOutcome:
+class RecoveryFaultOutcome(Outcome):
     """One faulted recovery run against the source-state model."""
 
-    fault_at: int
-    kind: str
-    #: "network" or "crash"
-    mode: str
-    fired: bool = False
-    completed: bool = False
-    retried_run: bool = False
-    resumed: bool = False
     bytes_shipped: int = 0
     entries_replayed: int = 0
-    failure: str | None = None
 
 
-@dataclass
-class RecoverySweepResult:
-    network_events: int
-    crash_points: int
-    outcomes: list[RecoveryFaultOutcome] = field(default_factory=list)
-
-    @property
-    def runs(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def failures(self) -> list[RecoveryFaultOutcome]:
-        return [o for o in self.outcomes if o.failure is not None]
-
-    @property
-    def resumed_runs(self) -> int:
-        return sum(1 for o in self.outcomes if o.resumed)
-
-    def assert_clean(self) -> None:
-        if self.failures:
-            first = self.failures[0]
-            raise AssertionError(
-                f"{len(self.failures)} of {self.runs} faulted recoveries "
-                f"violated the repair invariants; first: {first.mode} "
-                f"fault {first.fault_at} kind={first.kind}: {first.failure}"
-            )
-
-    def summary(self) -> str:
-        return (
-            f"{self.runs} recoveries over {self.network_events} network "
-            f"events + {self.crash_points} crash points: "
-            f"{len(self.failures)} failures, {self.resumed_runs} resumed "
-            f"from a durable stage boundary"
-        )
-
-    def report(self) -> dict:
-        """JSON-serialisable report (the CI job uploads this artifact)."""
-        return {
-            "network_events": self.network_events,
-            "crash_points": self.crash_points,
-            "runs": self.runs,
-            "failures": len(self.failures),
-            "resumed_runs": self.resumed_runs,
-            "outcomes": [asdict(o) for o in self.outcomes],
-        }
-
-
-class RecoverySweep:
+class RecoverySweep(Sweep):
     """Sweeps one blank-node recovery over every fault point."""
+
+    outcome_type = RecoveryFaultOutcome
+    TOTALS = ("resumed",)
+    FLAGS = {
+        "--kinds": {"dest": "kinds", "nargs": "+", "choices": FAULT_KINDS}
+    }
 
     def __init__(
         self,
-        kinds: tuple[str, ...] = SWEEP_KINDS,
+        kinds: tuple[str, ...] = FAULT_KINDS,
         chunk_size: int = 96,
         stage_retries: int = 3,
         wedged: bool = False,
     ) -> None:
-        unknown = set(kinds) - set(SWEEP_KINDS)
+        unknown = set(kinds) - set(FAULT_KINDS)
         if unknown:
             raise ValueError(f"unknown fault kinds: {sorted(unknown)}")
         self.kinds = kinds
+        self.phases = [
+            ("network", {"kind": kinds}),
+            ("crash", {"kind": ("crash",)}),
+        ]
         #: small on purpose: several snapshot_chunk RPCs per recovery
         self.chunk_size = chunk_size
         self.stage_retries = stage_retries
@@ -220,11 +169,6 @@ class RecoverySweep:
             stage_observer=observer,
         )
 
-    def _expected_state(self, source: Replica) -> dict:
-        return {
-            "/".join(path): value for path, value in source.read_subtree()
-        }
-
     def _judge(
         self,
         outcome: RecoveryFaultOutcome,
@@ -240,7 +184,9 @@ class RecoverySweep:
         recovered = {
             "/".join(path): value for path, value in replica.read_subtree()
         }
-        expected = self._expected_state(source)
+        expected = {
+            "/".join(path): value for path, value in source.read_subtree()
+        }
         if recovered != expected:
             failures.append(
                 f"recovered state {recovered!r} != source state "
@@ -255,210 +201,67 @@ class RecoverySweep:
         outcome.entries_replayed += report.entries_replayed
         return failures
 
-    # -- the network-fault quantification --------------------------------------
+    # -- the two quantifications -----------------------------------------------
 
-    def count_events(self) -> int:
-        """Dry run: network events one clean recovery generates."""
-        injector = NullNetworkInjector()
-        _clock, _source, peer, fs, closer = self._build(injector, seed=0)
+    def dry_run(self) -> dict[str, int]:
+        """Network events and observer callbacks of one clean recovery."""
+        injector = NetworkFaultInjector()
+        counter = AtCall()
+        clock, _source, peer, fs, closer = self._build(injector, seed=0)
         try:
-            replica = self._recoverer(fs, peer, _clock).run()
-            replica.db.close()
+            self._recoverer(fs, peer, clock, counter).run().db.close()
         finally:
             closer()
-        return injector.events_seen
+        return {"network": injector.events_seen, "crash": counter.calls}
 
-    def count_crash_points(self) -> int:
-        """Dry run: observer callbacks one clean recovery makes."""
-        points = [0]
+    def companions(self, max_events: int | None) -> dict:
+        # Bigger pages for the wedge: its second snapshot carries a window
+        # of history, and the chunk loop is already swept above.
+        wedge = RecoverySweep(self.kinds, chunk_size=8192, wedged=True)
+        return {"wedge": wedge.run(max_events)}
 
-        def observer(_point: str) -> None:
-            points[0] += 1
+    def run_one(self, outcome: RecoveryFaultOutcome) -> list[str]:
+        """A network fault at event k, or a crash at stage boundary k.
 
-        _clock, _source, peer, fs, closer = self._build(
-            NullNetworkInjector(), seed=0
-        )
-        try:
-            replica = self._recoverer(fs, peer, _clock, observer).run()
-            replica.db.close()
-        finally:
-            closer()
-        return points[0]
-
-    def run(self, max_events: int | None = None) -> RecoverySweepResult:
-        """Both quantifications; returns per-fault-state outcomes."""
-        events = self.count_events()
-        crash_points = self.count_crash_points()
-        swept_events = (
-            events if max_events is None else min(events, max_events)
-        )
-        swept_points = (
-            crash_points
-            if max_events is None
-            else min(crash_points, max_events)
-        )
-        result = RecoverySweepResult(
-            network_events=events, crash_points=crash_points
-        )
-        for fault_at in range(1, swept_events + 1):
-            for kind in self.kinds:
-                result.outcomes.append(self._run_network(fault_at, kind))
-        for point in range(1, swept_points + 1):
-            result.outcomes.append(self._run_crash(point))
-        return result
-
-    def _run_network(self, fault_at: int, kind: str) -> RecoveryFaultOutcome:
-        injector = NetworkFaultInjector(fault_at_event=fault_at, kind=kind)
-        seed = fault_at * 8 + len(kind)
+        Either way the first attempt may stop short: a network fault by
+        exhausting the retries (the operator then retries), a crash by
+        halting the machine (a fresh recoverer then resumes).  The staged
+        files must stay invisible until the cutover commit, and the
+        second attempt must finish the job.
+        """
+        if outcome.mode == "crash":
+            injector, seed = NetworkFaultInjector(), outcome.fault_at
+            observer = AtCall(outcome.fault_at)
+        else:
+            injector = NetworkFaultInjector(outcome.fault_at, outcome.kind)
+            seed = outcome.fault_at * 8 + len(outcome.kind)
+            observer = AtCall()
         clock, source, peer, fs, closer = self._build(injector, seed)
-        outcome = RecoveryFaultOutcome(fault_at, kind, mode="network")
         failures: list[str] = []
         try:
-            recoverer = self._recoverer(fs, peer, clock)
+            recoverer = self._recoverer(fs, peer, clock, observer)
             try:
                 replica = recoverer.run()
-            except RecoveryFailed:
-                # The fault exhausted the retries: allowed, but the
-                # staged files must stay invisible and the operator's
-                # next attempt must succeed.
-                outcome.retried_run = True
-                if read_current_version(fs) is not None:
+            except (RecoveryFailed, SimulatedCrash) as exc:
+                if isinstance(exc, SimulatedCrash):
+                    fs.crash()  # unsynced state is gone, like the machine
+                else:
+                    outcome.retried_run = True
+                current = read_current_version(fs)
+                # Only the DONE callback runs after the cutover commit.
+                if current is not None and observer.point != "done":
                     failures.append(
-                        "a failed recovery left a committed version behind"
+                        f"an interrupted recovery left version "
+                        f"{current.number} visible before the cutover commit"
                     )
                 injector.disarm()
                 recoverer = self._recoverer(fs, peer, clock)
-                try:
-                    replica = recoverer.run()
-                except RecoveryFailed as exc:
-                    outcome.failure = (
-                        f"recovery failed even after the fault cleared: "
-                        f"{exc}"
-                    )
-                    return outcome
-            except Exception as exc:  # noqa: BLE001 - any escape is a finding
-                outcome.failure = (
-                    f"recovery raised outside the typed surface: {exc!r}"
-                )
-                return outcome
-            outcome.completed = True
-            outcome.fired = bool(injector.injected)
-            outcome.resumed = recoverer.report.resumed
-            failures.extend(
-                self._judge(outcome, replica, source, recoverer.report)
-            )
-            replica.db.close()
-        finally:
-            closer()
-        if failures:
-            outcome.failure = "; ".join(failures)
-        return outcome
-
-    # -- the crash-at-stage-boundary quantification ----------------------------
-
-    def _run_crash(self, point: int) -> RecoveryFaultOutcome:
-        clock, source, peer, fs, closer = self._build(
-            NullNetworkInjector(), seed=point
-        )
-        outcome = RecoveryFaultOutcome(point, "crash", mode="crash")
-        failures: list[str] = []
-        seen = [0]
-        committed_before_crash = [False]
-
-        def observer(stage_point: str) -> None:
-            seen[0] += 1
-            if seen[0] == point:
-                # Only the DONE callback runs after the cutover commit.
-                committed_before_crash[0] = stage_point == "done"
-                raise SimulatedCrash(stage_point)
-
-        try:
-            try:
-                self._recoverer(fs, peer, clock, observer).run()
-                outcome.failure = (
-                    f"crash point {point} was never reached "
-                    f"({seen[0]} observer calls)"
-                )
-                return outcome
-            except SimulatedCrash:
-                pass
-            outcome.fired = True
-            fs.crash()  # unsynced state is gone, like the machine it ran on
-            current = read_current_version(fs)
-            if not committed_before_crash[0] and current is not None:
-                failures.append(
-                    f"crash at point {point} left version "
-                    f"{current.number} visible before the cutover commit"
-                )
-            recoverer = self._recoverer(fs, peer, clock)
-            try:
                 replica = recoverer.run()
-            except RecoveryFailed as exc:
-                outcome.failure = f"resume after crash failed: {exc}"
-                return outcome
+            outcome.fired = observer.fired or bool(injector.injected)
             outcome.completed = True
             outcome.resumed = recoverer.report.resumed
-            failures.extend(
-                self._judge(outcome, replica, source, recoverer.report)
-            )
+            failures += self._judge(outcome, replica, source, recoverer.report)
             replica.db.close()
         finally:
             closer()
-        if failures:
-            outcome.failure = "; ".join(failures)
-        return outcome
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point: run the sweep, print the summary, exit 0/1."""
-    import argparse
-    import json
-
-    parser = argparse.ArgumentParser(
-        description="fault sweep for staged replica recovery"
-    )
-    parser.add_argument(
-        "--max-events", type=int, default=None,
-        help="sweep only fault points 1..N per mode (default: all)",
-    )
-    parser.add_argument(
-        "--kinds", nargs="+", default=list(SWEEP_KINDS),
-        choices=list(SWEEP_KINDS),
-    )
-    parser.add_argument(
-        "--report", default=None,
-        help="write a JSON report of every outcome to this path",
-    )
-    parser.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
-
-    kinds = tuple(args.kinds)
-    result = RecoverySweep(kinds).run(args.max_events)
-    print(result.summary())
-    # Bigger pages for the wedge: its second snapshot carries a window of
-    # history, and the chunk loop is already swept above.
-    wedge = RecoverySweep(kinds, chunk_size=8192, wedged=True).run(args.max_events)
-    print("history-window wedge: " + wedge.summary())
-    outcomes = result.outcomes + wedge.outcomes
-    if args.verbose:
-        for outcome in outcomes:
-            status = "FAIL" if outcome.failure else "ok"
-            print(
-                f"  {outcome.mode:7s} {outcome.fault_at:3d} "
-                f"{outcome.kind:6s} fired={outcome.fired} "
-                f"resumed={outcome.resumed} {status}"
-            )
-    for outcome in result.failures + wedge.failures:
-        print(
-            f"FAIL {outcome.mode} fault {outcome.fault_at} "
-            f"kind={outcome.kind}: {outcome.failure}"
-        )
-    if args.report is not None:
-        with open(args.report, "w", encoding="ascii") as f:
-            json.dump({**result.report(), "wedge": wedge.report()}, f, indent=2)
-        print(f"report written to {args.report}")
-    return 1 if result.failures or wedge.failures else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+        return failures

@@ -39,13 +39,13 @@ After every faulted run the same invariants are judged:
 
 Run standalone (the CI job does)::
 
-    PYTHONPATH=src python -m repro.sim.shardsweep
+    PYTHONPATH=src python -m repro.sim.sweep shard
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 from repro.cluster.coordinator import Coordinator
 from repro.cluster.errors import MigrationFailed, WrongShard
@@ -57,15 +57,14 @@ from repro.rpc import (
     FaultyTransport,
     LoopbackTransport,
     NetworkFaultInjector,
-    NullNetworkInjector,
     RetryPolicy,
     RpcServer,
 )
+from repro.rpc.faults import FAULT_KINDS
 from repro.sim.clock import SimClock
+from repro.sim.sweep import AtCall, Outcome, Sweep
 from repro.storage import SimFS
-
-#: network fault kinds the sweep schedules (see repro.rpc.faults)
-SWEEP_KINDS = ("drop", "sever", "delay")
+from repro.storage.errors import SimulatedCrash
 
 #: the half of the hash space a full-space donor gives up in a split
 MOVE_BOUNDARY = HASH_SPACE // 2
@@ -89,73 +88,87 @@ MOVING_COMPONENTS = _partition_components("svc", 4, moving=True)
 STABLE_COMPONENTS = _partition_components("cfg", 2, moving=False)
 
 
-class SimulatedCrash(Exception):
-    """Raised out of the stage observer to model a coordinator halt."""
-
-
 @dataclass
-class ShardFaultOutcome:
+class ShardFaultOutcome(Outcome):
     """One faulted migration run against the invariants."""
 
-    fault_at: int
-    kind: str
-    #: "network" or "crash"
-    mode: str
-    fired: bool = False
-    completed: bool = False
-    retried_run: bool = False
-    resumed: bool = False
     acked_updates: int = 0
     forwarded: int = 0
     new_epoch: int = 0
-    failure: str | None = None
 
 
-@dataclass
-class ShardSweepResult:
-    network_events: int
-    crash_points: int
-    outcomes: list[ShardFaultOutcome] = field(default_factory=list)
+def judge_split(
+    world, outcome: Outcome, initial_epoch: int, transport_factory
+) -> list[str]:
+    """The invariants every split must keep, whatever the cluster.
 
-    @property
-    def runs(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def failures(self) -> list[ShardFaultOutcome]:
-        return [o for o in self.outcomes if o.failure is not None]
-
-    @property
-    def resumed_runs(self) -> int:
-        return sum(1 for o in self.outcomes if o.resumed)
-
-    def assert_clean(self) -> None:
-        if self.failures:
-            first = self.failures[0]
-            raise AssertionError(
-                f"{len(self.failures)} of {self.runs} faulted migrations "
-                f"violated the cluster invariants; first: {first.mode} "
-                f"fault {first.fault_at} kind={first.kind}: {first.failure}"
-            )
-
-    def summary(self) -> str:
-        return (
-            f"{self.runs} migrations over {self.network_events} network "
-            f"events + {self.crash_points} crash points: "
-            f"{len(self.failures)} failures, {self.resumed_runs} resumed "
-            f"from a persisted stage"
+    ``world`` carries ``coordinator``, ``services``, ``acked`` (path ->
+    latest acked value) and ``sequence`` (updates acked); reads go
+    through a fresh router over ``transport_factory``.
+    """
+    failures: list[str] = []
+    current = world.coordinator.current_map()
+    outcome.new_epoch = current.epoch
+    outcome.acked_updates = world.sequence
+    if current.epoch <= initial_epoch:
+        failures.append(
+            f"epoch never advanced past {initial_epoch} "
+            f"(still {current.epoch})"
         )
 
-    def report(self) -> dict:
-        """JSON-serialisable report (the CI job uploads this artifact)."""
-        return {
-            "network_events": self.network_events,
-            "crash_points": self.crash_points,
-            "runs": self.runs,
-            "failures": len(self.failures),
-            "resumed_runs": self.resumed_runs,
-            "outcomes": [asdict(o) for o in self.outcomes],
-        }
+    fresh = ShardRouter(current, transport_factory=transport_factory)
+    try:
+        for path, want in world.acked.items():
+            try:
+                got = fresh.lookup(path)
+            except Exception as exc:  # noqa: BLE001 - any escape is a finding
+                failures.append(f"acked update {path!r} unreadable: {exc!r}")
+                continue
+            if got != want:
+                failures.append(
+                    f"acked update {path!r} reads {got!r}, latest "
+                    f"acked value was {want!r} (lost or doubled)"
+                )
+        total = fresh.count()
+        if total != len(world.acked):
+            failures.append(
+                f"scatter count {total} != {len(world.acked)} distinct "
+                f"live names (double-count or loss across shards)"
+            )
+    finally:
+        fresh.close()
+
+    for component in MOVING_COMPONENTS + STABLE_COMPONENTS:
+        owners: set[str] = set()
+        for service in world.services.values():
+            try:
+                present = service.exists((component, "addr"))
+            except WrongShard:
+                continue
+            owners.add(service.shard_id)
+            if not present:
+                failures.append(
+                    f"{service.replica_id} owns {component!r} but "
+                    f"has no data for it"
+                )
+        if len(owners) != 1:
+            failures.append(
+                f"component {component!r} owned by {sorted(owners)!r}, "
+                f"expected exactly one shard"
+            )
+    return failures
+
+
+def resume_split(world, outcome: Outcome) -> None:
+    """A fresh coordinator over what survived a halt finishes the split."""
+    world.coordinator = world._coordinator()
+    report = world.coordinator.resume_migration(stage_observer=world.traffic)
+    if report is None:
+        # Crashed before the first durable save: nothing to resume, the
+        # operator re-issues the split.
+        world.coordinator.split("s0", "s1", stage_observer=world.traffic)
+    else:
+        outcome.resumed = True
 
 
 class _World:
@@ -182,7 +195,7 @@ class _World:
         )
         #: path -> latest value acked to the client
         self.acked: dict[str, object] = {}
-        self._sequence = 0
+        self.sequence = 0
 
     # -- construction ----------------------------------------------------------
 
@@ -244,70 +257,26 @@ class _World:
         for component in MOVING_COMPONENTS + STABLE_COMPONENTS:
             self._bind(component)
 
-    def traffic_observer(self, _point: str) -> None:
+    def traffic(self, _point: str) -> None:
         """One moving-range and one stable update at every observable
         point of the migration — the sweep's 'live traffic'."""
         cycle = MOVING_COMPONENTS + STABLE_COMPONENTS
-        self._bind(cycle[self._sequence % len(cycle)])
-        self._bind(MOVING_COMPONENTS[self._sequence % len(MOVING_COMPONENTS)])
+        self._bind(cycle[self.sequence % len(cycle)])
+        self._bind(MOVING_COMPONENTS[self.sequence % len(MOVING_COMPONENTS)])
 
     def _bind(self, component: str) -> None:
-        self._sequence += 1
+        self.sequence += 1
         path = f"{component}/addr"
-        self.router.bind(path, self._sequence)
-        self.acked[path] = self._sequence
+        self.router.bind(path, self.sequence)
+        self.acked[path] = self.sequence
 
     # -- judgement --------------------------------------------------------------
 
     def judge(self, outcome: ShardFaultOutcome, initial_epoch: int) -> list[str]:
-        failures: list[str] = []
-        current = self.coordinator.current_map()
-        outcome.new_epoch = current.epoch
-        outcome.acked_updates = self._sequence
+        failures = judge_split(
+            self, outcome, initial_epoch, self._clean_transport
+        )
         outcome.forwarded = self.services["s0"].forwarded
-        if current.epoch <= initial_epoch:
-            failures.append(
-                f"epoch never advanced past {initial_epoch} "
-                f"(still {current.epoch})"
-            )
-
-        fresh = ShardRouter(current, transport_factory=self._clean_transport)
-        try:
-            for path, want in self.acked.items():
-                try:
-                    got = fresh.lookup(path)
-                except Exception as exc:  # noqa: BLE001 - any escape is a finding
-                    failures.append(
-                        f"acked update {path!r} unreadable: {exc!r}"
-                    )
-                    continue
-                if got != want:
-                    failures.append(
-                        f"acked update {path!r} reads {got!r}, latest "
-                        f"acked value was {want!r} (lost or doubled)"
-                    )
-            total = fresh.count()
-            if total != len(self.acked):
-                failures.append(
-                    f"scatter count {total} != {len(self.acked)} distinct "
-                    f"live names (double-count or loss across shards)"
-                )
-        finally:
-            fresh.close()
-
-        for component in MOVING_COMPONENTS + STABLE_COMPONENTS:
-            owners = []
-            for shard_id, service in self.services.items():
-                try:
-                    service.exists((component, "addr"))
-                    owners.append(shard_id)
-                except WrongShard:
-                    pass
-            if len(owners) != 1:
-                failures.append(
-                    f"component {component!r} owned by {owners!r}, "
-                    f"expected exactly one shard"
-                )
         moved_owner = self.coordinator.current_map().owner_of(
             MOVING_COMPONENTS[0]
         )
@@ -321,220 +290,69 @@ class _World:
         self.router.close()
 
 
-class ShardSweep:
+class ShardSweep(Sweep):
     """Sweeps one online shard split over every fault point."""
 
-    def __init__(
-        self,
-        kinds: tuple[str, ...] = SWEEP_KINDS,
-        stage_retries: int = 2,
-    ) -> None:
-        unknown = set(kinds) - set(SWEEP_KINDS)
+    outcome_type = ShardFaultOutcome
+    TOTALS = ("resumed",)
+    FLAGS = {
+        "--kinds": {"dest": "kinds", "nargs": "+", "choices": FAULT_KINDS}
+    }
+
+    def __init__(self, kinds: tuple[str, ...] = FAULT_KINDS) -> None:
+        unknown = set(kinds) - set(FAULT_KINDS)
         if unknown:
             raise ValueError(f"unknown fault kinds: {sorted(unknown)}")
-        self.kinds = kinds
-        self.stage_retries = stage_retries
+        self.phases = [
+            ("network", {"kind": kinds}),
+            ("crash", {"kind": ("crash",)}),
+        ]
 
-    # -- dry runs ---------------------------------------------------------------
-
-    def _clean_run(self, observer=None) -> tuple[_World, object]:
-        world = _World(NullNetworkInjector(), seed=0)
-        world.seed()
-
-        def observe(point: str) -> None:
-            world.traffic_observer(point)
-            if observer is not None:
-                observer(point)
-
-        report = world.coordinator.split("s0", "s1", stage_observer=observe)
-        return world, report
-
-    def count_events(self) -> int:
-        """Dry run: network events one clean migration generates."""
-        world, _report = self._clean_run()
-        try:
-            return world.injector.events_seen
-        finally:
-            world.close()
-
-    def count_crash_points(self) -> int:
-        """Dry run: observer callbacks one clean migration makes."""
-        points = [0]
-        world, _report = self._clean_run(lambda _p: points.__setitem__(
-            0, points[0] + 1
-        ))
-        world.close()
-        return points[0]
-
-    def run(self, max_events: int | None = None) -> ShardSweepResult:
-        """Both quantifications; returns per-fault-state outcomes."""
-        events = self.count_events()
-        crash_points = self.count_crash_points()
-        swept_events = (
-            events if max_events is None else min(events, max_events)
-        )
-        swept_points = (
-            crash_points
-            if max_events is None
-            else min(crash_points, max_events)
-        )
-        result = ShardSweepResult(
-            network_events=events, crash_points=crash_points
-        )
-        for fault_at in range(1, swept_events + 1):
-            for kind in self.kinds:
-                result.outcomes.append(self._run_network(fault_at, kind))
-        for point in range(1, swept_points + 1):
-            result.outcomes.append(self._run_crash(point))
-        return result
-
-    # -- the network-fault quantification ---------------------------------------
-
-    def _run_network(self, fault_at: int, kind: str) -> ShardFaultOutcome:
-        injector = NetworkFaultInjector(fault_at_event=fault_at, kind=kind)
-        world = _World(injector, seed=fault_at * 8 + len(kind))
-        outcome = ShardFaultOutcome(fault_at, kind, mode="network")
-        failures: list[str] = []
+    def dry_run(self) -> dict[str, int]:
+        """Network events and observer callbacks of one clean migration."""
+        world = _World(NetworkFaultInjector(), seed=0)
+        counter = AtCall(each=world.traffic)
         try:
             world.seed()
-            initial_epoch = world.coordinator.current_map().epoch
-            try:
-                world.coordinator.split(
-                    "s0", "s1", stage_observer=world.traffic_observer
-                )
-            except MigrationFailed:
-                # The fault exhausted the retries: allowed, but the
-                # operator's next attempt must pick up the persisted
-                # state and finish.
-                outcome.retried_run = True
-                injector.disarm()
-                try:
-                    report = world.coordinator.split(
-                        "s0", "s1", stage_observer=world.traffic_observer
-                    )
-                except MigrationFailed as exc:
-                    outcome.failure = (
-                        f"migration failed even after the fault cleared "
-                        f"(stage {exc.stage}): {exc}"
-                    )
-                    return outcome
-                outcome.resumed = bool(report is None or report.resumed)
-            except Exception as exc:  # noqa: BLE001 - any escape is a finding
-                outcome.failure = (
-                    f"migration raised outside the typed surface: {exc!r}"
-                )
-                return outcome
-            outcome.completed = True
-            outcome.fired = bool(injector.injected)
-            failures.extend(world.judge(outcome, initial_epoch))
+            world.coordinator.split("s0", "s1", stage_observer=counter)
         finally:
             world.close()
-        if failures:
-            outcome.failure = "; ".join(failures)
-        return outcome
+        return {"network": world.injector.events_seen, "crash": counter.calls}
 
-    # -- the coordinator-crash quantification -------------------------------------
+    def run_one(self, outcome: ShardFaultOutcome) -> list[str]:
+        """A network fault at event k, or a coordinator crash at point k.
 
-    def _run_crash(self, point: int) -> ShardFaultOutcome:
-        world = _World(NullNetworkInjector(), seed=point)
-        outcome = ShardFaultOutcome(point, "crash", mode="crash")
-        failures: list[str] = []
-        seen = [0]
-
-        def crashing_observer(stage_point: str) -> None:
-            world.traffic_observer(stage_point)
-            seen[0] += 1
-            if seen[0] == point:
-                raise SimulatedCrash(stage_point)
-
-        try:
-            world.seed()
-            initial_epoch = world.coordinator.current_map().epoch
-            try:
-                world.coordinator.split(
-                    "s0", "s1", stage_observer=crashing_observer
-                )
-                outcome.failure = (
-                    f"crash point {point} was never reached "
-                    f"({seen[0]} observer calls)"
-                )
-                return outcome
-            except SimulatedCrash:
-                pass
-            outcome.fired = True
-            # The coordinator's machine halts: unsynced state is gone.
-            world.coordinator_fs.crash()
-            world.coordinator = world._coordinator()
-            try:
-                report = world.coordinator.resume_migration(
-                    stage_observer=world.traffic_observer
-                )
-                if report is None:
-                    # Crashed before the first durable save: nothing to
-                    # resume, the operator re-issues the split.
-                    report = world.coordinator.split(
-                        "s0", "s1", stage_observer=world.traffic_observer
-                    )
-                else:
-                    outcome.resumed = True
-            except MigrationFailed as exc:
-                outcome.failure = f"resume after crash failed: {exc}"
-                return outcome
-            outcome.completed = True
-            failures.extend(world.judge(outcome, initial_epoch))
-        finally:
-            world.close()
-        if failures:
-            outcome.failure = "; ".join(failures)
-        return outcome
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point: run the sweep, print the summary, exit 0/1."""
-    import argparse
-    import json
-
-    parser = argparse.ArgumentParser(
-        description="fault sweep for online shard split/migration"
-    )
-    parser.add_argument(
-        "--max-events", type=int, default=None,
-        help="sweep only fault points 1..N per mode (default: all)",
-    )
-    parser.add_argument(
-        "--kinds", nargs="+", default=list(SWEEP_KINDS),
-        choices=list(SWEEP_KINDS),
-    )
-    parser.add_argument(
-        "--report", default=None,
-        help="write a JSON report of every outcome to this path",
-    )
-    parser.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
-
-    sweep = ShardSweep(kinds=tuple(args.kinds))
-    result = sweep.run(max_events=args.max_events)
-    print(result.summary())
-    if args.verbose:
-        for outcome in result.outcomes:
-            status = "FAIL" if outcome.failure else "ok"
-            print(
-                f"  {outcome.mode:7s} {outcome.fault_at:3d} "
-                f"{outcome.kind:6s} fired={outcome.fired} "
-                f"resumed={outcome.resumed} acked={outcome.acked_updates} "
-                f"{status}"
+        A network fault may exhaust the retries: the operator's next
+        attempt must pick up the persisted state and finish.  A crash
+        drops the coordinator's unsynced file state: a fresh coordinator
+        over the surviving directory must resume.
+        """
+        if outcome.mode == "crash":
+            world = _World(NetworkFaultInjector(), seed=outcome.fault_at)
+            observer = AtCall(outcome.fault_at, each=world.traffic)
+        else:
+            world = _World(
+                NetworkFaultInjector(outcome.fault_at, outcome.kind),
+                seed=outcome.fault_at * 8 + len(outcome.kind),
             )
-    for outcome in result.failures:
-        print(
-            f"FAIL {outcome.mode} fault {outcome.fault_at} "
-            f"kind={outcome.kind}: {outcome.failure}"
-        )
-    if args.report is not None:
-        with open(args.report, "w", encoding="ascii") as f:
-            json.dump(result.report(), f, indent=2)
-        print(f"report written to {args.report}")
-    return 1 if result.failures else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+            observer = AtCall(each=world.traffic)
+        try:
+            world.seed()
+            initial_epoch = world.coordinator.current_map().epoch
+            try:
+                world.coordinator.split("s0", "s1", stage_observer=observer)
+            except MigrationFailed:
+                outcome.retried_run = True
+                world.injector.disarm()
+                report = world.coordinator.split(
+                    "s0", "s1", stage_observer=world.traffic
+                )
+                outcome.resumed = bool(report is None or report.resumed)
+            except SimulatedCrash:
+                world.coordinator_fs.crash()
+                resume_split(world, outcome)
+            outcome.fired = observer.fired or bool(world.injector.injected)
+            outcome.completed = True
+            return world.judge(outcome, initial_epoch)
+        finally:
+            world.close()

@@ -274,6 +274,31 @@ class TestListenerFailure:
         assert int(counter.value) == 0
 
 
+class TestDispatchBug:
+    def test_raising_dispatch_is_a_flight_event_and_a_close(
+        self, echo_interface, server, server_model, monkeypatch
+    ):
+        """dispatch() answers bad input with error frames, so a raise is a
+        server bug: it must reach the flight recorder, not vanish."""
+        flight = FlightRecorder()
+        with start_server(server, server_model, flight=flight) as srv:
+
+            def boom(request):
+                raise RuntimeError("dispatch bug")
+
+            monkeypatch.setattr(server, "dispatch", boom)
+            sock = socket.create_connection((srv.host, srv.port), timeout=5)
+            try:
+                request = encode_request(echo_interface, "double", (1,))
+                sock.sendall(struct.pack(">I", len(request)) + request)
+                assert sock.recv(1) == b""  # closed, nothing written
+            finally:
+                sock.close()
+            assert srv.connection_errors == 1
+        (event,) = flight.events("rpc_dispatch_failed")
+        assert event["fields"]["error"] == "RuntimeError('dispatch bug')"
+
+
 class TestAtMostOnceOverTcp:
     def test_duplicate_retransmission_executes_once(
         self, echo_interface, server_model

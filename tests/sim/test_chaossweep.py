@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import json
 
-from repro.sim.chaossweep import KILL_VICTIMS, ChaosSweep, main
+from repro.sim.chaossweep import KILL_VICTIMS, ChaosSweep
+from repro.sim.sweep import main
 
 
 class TestEventCounting:
     def test_event_counts_are_deterministic(self):
         sweep = ChaosSweep()
-        events = sweep.count_events()
-        assert events > 0
-        assert sweep.count_events() == events
+        events = sweep.dry_run()
+        assert events["kill"] > 0
+        assert events["coordinator"] == events["kill"]
+        assert sweep.dry_run() == events
 
 
 class TestBoundedSweep:
@@ -41,7 +43,7 @@ class TestBoundedSweep:
         primaries = [
             o
             for o in result.outcomes
-            if o.mode == "kill" and o.victim in ("s0", "s1")
+            if o.mode == "kill" and o.kind in ("s0", "s1")
         ]
         assert any(o.promoted for o in primaries)
         assert any(o.write_failovers > 0 for o in primaries)
@@ -58,11 +60,11 @@ class TestBoundedSweep:
 class TestCli:
     def test_cli_exit_zero_and_report_artifact(self, tmp_path, capsys):
         path = str(tmp_path / "chaossweep.json")
-        assert main(["--max-events", "1", "--report", path]) == 0
+        assert main(["chaos", "--max-events", "1", "--report", path]) == 0
         out = capsys.readouterr().out
         assert "0 failures" in out
         with open(path, encoding="ascii") as f:
-            report = json.load(f)
+            report = json.load(f)["chaos"]
         assert report["failures"] == 0
         assert report["runs"] == len(KILL_VICTIMS) + 1
-        assert report["availability"]["acked_updates"] > 0
+        assert report["totals"]["acked_updates"] > 0

@@ -36,7 +36,7 @@ STEPS = [
 class TestSweepMechanics:
     def test_count_events_stable(self, ops):
         sweep = CrashPointSweep(STEPS, ops)
-        assert sweep.count_events() == sweep.count_events()
+        assert sweep.dry_run() == sweep.dry_run()
 
     def test_model_prefixes(self, ops):
         sweep = CrashPointSweep(STEPS, ops)
@@ -59,15 +59,15 @@ class TestRecoveryClaims:
     def test_every_crash_state_recovers_exactly_padded(self, ops):
         result = CrashPointSweep(STEPS, ops, pad_log_to_page=True).run()
         result.assert_clean()
-        assert result.torn_commit_losses == 0
-        assert result.runs == result.total_events * 2
+        assert result.total("lost_committed_update") == 0
+        assert result.runs == result.points["crash"] * 2
 
     def test_unpadded_layout_recovers_consistently(self, ops):
         """The paper's exact layout: always consistent, but torn appends
         can destroy committed entries sharing a page (design note D2)."""
         result = CrashPointSweep(STEPS, ops, pad_log_to_page=False).run()
         result.assert_clean()
-        assert result.torn_commit_losses > 0  # the hazard is real
+        assert result.total("lost_committed_update") > 0  # the hazard is real
 
     def test_sweep_with_kept_previous_checkpoint(self, ops):
         result = CrashPointSweep(STEPS, ops, keep_versions=2).run()

@@ -11,11 +11,11 @@ from repro.sim import IoFaultSweep
 from repro.sim.iosweep import (
     DEFAULT_STEPS,
     ReplicaRepairSweep,
-    main,
     model_states,
     run_capacity,
     run_divergence,
 )
+from repro.sim.sweep import main
 
 
 class TestModel:
@@ -40,9 +40,9 @@ class TestModel:
 class TestSweepPasses:
     def test_event_count_is_deterministic(self):
         sweep = IoFaultSweep(durabilities=("immediate",))
-        count = sweep.count_events()
-        assert count > 0
-        assert sweep.count_events() == count
+        count = sweep.dry_run()
+        assert count["io"] > 0
+        assert sweep.dry_run() == count
 
     def test_bounded_sweep_is_clean(self):
         """The full sweep runs in CI; the suite checks a bounded prefix
@@ -50,12 +50,12 @@ class TestSweepPasses:
         result = IoFaultSweep().run(max_events=4)
         result.assert_clean()
         assert result.runs == 4 * 3 * 2  # events x kinds x durabilities
-        assert result.total_events > 4
+        assert result.points["io"] > 4
 
     def test_transient_runs_stay_healthy(self):
         result = IoFaultSweep(kinds=("transient",)).run(max_events=6)
         result.assert_clean()
-        assert result.degraded_runs == 0
+        assert result.total("degraded") == 0
         for outcome in result.outcomes:
             assert outcome.health == "healthy"
             assert outcome.faults_injected >= 1
@@ -65,7 +65,7 @@ class TestSweepPasses:
             kinds=("persistent",), durabilities=("immediate",)
         ).run(max_events=6)
         result.assert_clean()
-        assert result.degraded_runs == result.runs
+        assert result.total("degraded") == result.runs
         for outcome in result.outcomes:
             assert outcome.health == "degraded_read_only"
 
@@ -74,7 +74,7 @@ class TestSweepPasses:
         swept state must leave a directory fsck flags and repair fixes."""
         result = IoFaultSweep(kinds=("persistent", "disk_full")).run()
         result.assert_clean()
-        assert result.repaired_runs > 0
+        assert result.total("repaired") > 0
 
     def test_deterministic_across_runs(self):
         one = IoFaultSweep(kinds=("persistent",)).run(max_events=4)
@@ -98,7 +98,7 @@ class TestSweepCatchesViolations:
         result = IoFaultSweep(
             kinds=("transient",), fault_retries=0
         ).run(max_events=3)
-        with pytest.raises(AssertionError, match="io-fault states"):
+        with pytest.raises(AssertionError, match="single transient fault left"):
             result.assert_clean()
 
 
@@ -114,42 +114,49 @@ class TestCapacityBudget:
 
 class TestCli:
     def test_cli_exit_zero_on_clean_sweep(self, capsys):
-        assert main(["--max-events", "2"]) == 0
+        assert main(["io", "--max-events", "2"]) == 0
         out = capsys.readouterr().out
         assert "0 failures" in out
-        assert "capacity-budget disk-full scenario: clean" in out
+        assert "capacity[group]: clean" in out
+        assert "capacity[immediate]: clean" in out
 
     def test_cli_report_artifact(self, tmp_path, capsys):
         path = str(tmp_path / "iosweep.json")
         assert main(
-            ["--max-events", "1", "--kinds", "transient", "--report", path]
+            ["io", "--max-events", "1", "--kinds", "transient",
+             "--report", path]
         ) == 0
         with open(path, encoding="ascii") as f:
             report = json.load(f)
-        assert report["failures"] == 0
-        assert report["capacity_failures"] == []
+        assert report["io"]["failures"] == 0
+        assert report["io"]["runs"] == 2  # 1 event x transient x 2 modes
+        assert report["capacity[group]"] == []
+        assert report["repair"]["failures"] == 0
+        assert report["divergence"] == []
 
     def test_cli_verbose_lists_every_run(self, capsys):
         assert main(
-            ["--max-events", "2", "--kinds", "persistent",
+            ["io", "--max-events", "2", "--kinds", "persistent",
              "--durability", "immediate", "--verbose"]
         ) == 0
         out = capsys.readouterr().out
-        assert "event   1" in out and "event   2" in out
+        assert " fault_at=1 kind=persistent " in out
+        assert " fault_at=2 kind=persistent " in out
+        assert "durability=group" not in out
 
 
 class TestReplicaRepairSweep:
     def test_repair_event_count_is_deterministic(self):
         sweep = ReplicaRepairSweep()
-        events = sweep.count_events()
-        assert events > 0
-        assert sweep.count_events() == events
+        events = sweep.dry_run()
+        assert events["io"] > 0
+        assert sweep.dry_run() == events
 
     def test_every_persistent_fault_ends_healthy_via_the_peer(self):
         result = ReplicaRepairSweep().run(max_events=4)
         result.assert_clean()
         assert result.runs == 4 * 2  # events x (persistent, disk_full)
-        assert result.recovered_runs == result.runs
+        assert result.total("recovered") == result.runs
         for outcome in result.outcomes:
             assert outcome.degraded
             assert outcome.recovered
@@ -162,7 +169,7 @@ class TestReplicaRepairSweep:
     def test_full_sweep_is_clean(self):
         result = ReplicaRepairSweep(kinds=("persistent",)).run()
         result.assert_clean()
-        assert result.runs == result.total_events
+        assert result.runs == result.points["io"]
 
 
 class TestDivergence:

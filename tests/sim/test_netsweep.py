@@ -6,19 +6,20 @@ from __future__ import annotations
 import pytest
 
 from repro.sim import NetworkFaultSweep
-from repro.sim.netsweep import DEFAULT_STEPS, main, run_model
+from repro.sim.netsweep import DEFAULT_STEPS, run_model
+from repro.sim.sweep import main
 
 
 class TestSweepPasses:
     def test_full_sweep_is_clean(self):
         result = NetworkFaultSweep().run()
         result.assert_clean()
-        assert result.runs == 2 * result.total_events  # drop + sever
-        assert result.total_retries >= result.runs  # every fault retried
+        assert result.runs == 2 * result.points["network"]  # drop + sever
+        assert result.total("retries") >= result.runs  # every fault retried
 
     def test_event_count_is_two_per_call(self):
         sweep = NetworkFaultSweep()
-        assert sweep.count_events() == 2 * len(DEFAULT_STEPS)
+        assert sweep.dry_run() == {"network": 2 * len(DEFAULT_STEPS)}
 
     def test_reply_faults_hit_the_reply_cache(self):
         """Every lost reply must be resolved by the cache, not re-execution."""
@@ -38,12 +39,12 @@ class TestSweepPasses:
     def test_delay_kind_is_clean_without_retries(self):
         result = NetworkFaultSweep(kinds=("delay",)).run()
         result.assert_clean()
-        assert result.total_retries == 0  # delays are not errors
+        assert result.total("retries") == 0  # delays are not errors
 
     def test_max_events_bounds_the_sweep(self):
         result = NetworkFaultSweep(kinds=("drop",)).run(max_events=4)
         assert result.runs == 4
-        assert result.total_events == 2 * len(DEFAULT_STEPS)
+        assert result.points == {"network": 2 * len(DEFAULT_STEPS)}
         result.assert_clean()
 
     def test_deterministic_across_runs(self):
@@ -61,7 +62,7 @@ class TestSweepCatchesViolations:
         """client_id="" disables the reply cache: a retried lost reply
         re-executes the update, and the sweep must notice."""
         result = NetworkFaultSweep(client_id="").run()
-        with pytest.raises(AssertionError, match="violated at-most-once"):
+        with pytest.raises(AssertionError, match="duplicate or lost execution"):
             result.assert_clean()
         # the failures are exactly where theory predicts: replies to
         # non-idempotent or state-visible calls
@@ -91,11 +92,12 @@ class TestModel:
 
 class TestCli:
     def test_cli_exit_zero_on_clean_sweep(self, capsys):
-        assert main(["--max-events", "4"]) == 0
+        assert main(["net", "--max-events", "4"]) == 0
         out = capsys.readouterr().out
         assert "0 failures" in out
 
     def test_cli_verbose_lists_every_run(self, capsys):
-        assert main(["--max-events", "2", "--verbose"]) == 0
+        assert main(["net", "--max-events", "2", "--verbose"]) == 0
         out = capsys.readouterr().out
-        assert "event   1" in out and "event   2" in out
+        assert out.count(" fault_at=1 ") == 2  # drop + sever
+        assert out.count(" fault_at=2 ") == 2

@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import json
 
+from repro.core.sharding import default_hash
+from repro.rpc.faults import FAULT_KINDS
 from repro.sim.shardsweep import (
     MOVING_COMPONENTS,
     MOVE_BOUNDARY,
     STABLE_COMPONENTS,
-    SWEEP_KINDS,
     ShardSweep,
-    main,
 )
-from repro.core.sharding import default_hash
+from repro.sim.sweep import main
 
 
 class TestWorldPartition:
@@ -26,13 +26,13 @@ class TestWorldPartition:
 class TestEventCounting:
     def test_event_counts_are_deterministic(self):
         sweep = ShardSweep()
-        events = sweep.count_events()
-        assert events > 0
-        assert sweep.count_events() == events
+        events = sweep.dry_run()
+        assert events["network"] > 0
+        assert sweep.dry_run() == events
 
     def test_clean_migration_has_many_crash_points(self):
         # stage entries + durable saves + per-component copy points
-        assert ShardSweep().count_crash_points() >= 10
+        assert ShardSweep().dry_run()["crash"] >= 10
 
 
 class TestBoundedSweep:
@@ -40,8 +40,8 @@ class TestBoundedSweep:
         result = ShardSweep().run(max_events=4)
         result.assert_clean()
         # 4 network events x 3 kinds + 4 crash points
-        assert result.runs == 4 * len(SWEEP_KINDS) + 4
-        assert result.network_events > 4
+        assert result.runs == 4 * len(FAULT_KINDS) + 4
+        assert result.points["network"] > 4
 
     def test_live_traffic_is_acked_and_judged(self):
         result = ShardSweep(kinds=("drop",)).run(max_events=3)
@@ -55,7 +55,7 @@ class TestBoundedSweep:
         result = ShardSweep(kinds=()).run(max_events=None)
         result.assert_clean()
         crashes = [o for o in result.outcomes if o.mode == "crash"]
-        assert len(crashes) == result.crash_points
+        assert len(crashes) == result.points["crash"]
         # Crashes after the first durable save must resume, not restart.
         assert any(o.resumed for o in crashes)
 
@@ -76,17 +76,18 @@ class TestBoundedSweep:
 
 class TestCli:
     def test_cli_exit_zero_on_clean_sweep(self, capsys):
-        assert main(["--max-events", "2"]) == 0
+        assert main(["shard", "--max-events", "2"]) == 0
         out = capsys.readouterr().out
         assert "0 failures" in out
 
     def test_cli_report_artifact(self, tmp_path, capsys):
         path = str(tmp_path / "shardsweep.json")
         assert main(
-            ["--max-events", "1", "--kinds", "drop", "--report", path]
+            ["shard", "--max-events", "1", "--kinds", "drop",
+             "--report", path]
         ) == 0
         with open(path, encoding="ascii") as f:
-            report = json.load(f)
+            report = json.load(f)["shard"]
         assert report["failures"] == 0
         assert report["runs"] == 2  # 1 network event x drop + 1 crash point
         assert len(report["outcomes"]) == 2
