@@ -21,11 +21,12 @@ from __future__ import annotations
 import threading
 
 from conftest import once
+from repro.baselines.threaded import ThreadPerConnectionServer
 from repro.core import CommitPolicy, Database, OperationRegistry
 from repro.nameserver import NameServer, RemoteNameServer
 from repro.nameserver.server import NAMESERVER_INTERFACE
 from repro.obs.regress import metric
-from repro.rpc import EventLoopServer, NO_RETRY, RpcServer, TcpServerThread, TcpTransport
+from repro.rpc import EventLoopServer, NO_RETRY, RpcServer, TcpTransport
 from repro.sim import MICROVAX_II, SimClock
 from repro.storage import SimFS
 
@@ -183,8 +184,9 @@ def run_tcp_mode(model: str):
 
     The in-process E16 above proves the commit coordinator batches; this
     variant proves the batching still engages when the concurrency comes
-    through a socket front end — i.e. that neither server model
-    serialises updates before they reach the coordinator.
+    through a socket front end — i.e. that neither the event loop nor the
+    thread-per-connection baseline serialises updates before they reach
+    the coordinator.
     """
     clock = SimClock()
     ns = NameServer(
@@ -196,7 +198,7 @@ def run_tcp_mode(model: str):
     )
     rpc = RpcServer()
     rpc.export(NAMESERVER_INTERFACE, ns)
-    front_type = TcpServerThread if model == "threaded" else EventLoopServer
+    front_type = ThreadPerConnectionServer if model == "threaded" else EventLoopServer
     kw = {"workers": TCP_UPDATERS} if model == "eventloop" else {}
     errors: list[BaseException] = []
     with front_type(rpc, **kw) as srv:

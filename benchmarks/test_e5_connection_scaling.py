@@ -1,4 +1,9 @@
-"""E5d — connection scaling of the TCP front ends (wall clock).
+"""E5d — connection scaling: the event loop against a threaded rival (wall clock).
+
+The two front ends are the product's :class:`repro.rpc.EventLoopServer`
+and the thread-per-connection rival kept for this comparison,
+:class:`repro.baselines.threaded.ThreadPerConnectionServer` (the model
+names in the tables stay "eventloop" and "threaded").
 
 The paper's E5 measures the database's sustainable update rate; this
 extension measures whether the *transport* can keep feeding it once
@@ -35,6 +40,7 @@ import struct
 import time
 
 from conftest import once
+from repro.baselines.threaded import ThreadPerConnectionServer
 from repro.obs.regress import metric
 from repro.rpc import (
     Bytes,
@@ -43,7 +49,6 @@ from repro.rpc import (
     OptionalOf,
     RpcServer,
     Str,
-    TcpServerThread,
     Void,
 )
 from repro.rpc.interface import encode_request
@@ -83,7 +88,7 @@ class InMemoryNames:
 
 
 def start_front(model: str, rpc: RpcServer):
-    front_type = TcpServerThread if model == "threaded" else EventLoopServer
+    front_type = ThreadPerConnectionServer if model == "threaded" else EventLoopServer
     return front_type(rpc).start()
 
 

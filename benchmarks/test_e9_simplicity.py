@@ -198,23 +198,25 @@ def test_e9_update_protocol_is_written_once(benchmark, report):
     )
 
 
+def _read_tree(root: str) -> str:
+    """Every Python source under ``root``, concatenated."""
+    sources = []
+    for directory, _subdirs, files in os.walk(root):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                with open(os.path.join(directory, name), encoding="utf-8") as f:
+                    sources.append(f.read())
+    return "\n".join(sources)
+
+
 def test_e9_sweep_core_is_written_once(benchmark, report):
     """ROADMAP item 3, structurally: the model checkers are scenarios on
     one core (``sim/sweep.py``), so ``sim/`` parses one command line,
     judges a result one way and has one result class, and the whole tree
     has one simulated machine halt."""
 
-    def read_tree(root: str) -> str:
-        sources = []
-        for directory, _subdirs, files in os.walk(root):
-            for name in sorted(files):
-                if name.endswith(".py"):
-                    with open(os.path.join(directory, name), encoding="utf-8") as f:
-                        sources.append(f.read())
-        return "\n".join(sources)
-
     sim, tree = once(
-        benchmark, lambda: (read_tree(os.path.join(_SRC, "sim")), read_tree(_SRC))
+        benchmark, lambda: (_read_tree(os.path.join(_SRC, "sim")), _read_tree(_SRC))
     )
     counts = {
         "ArgumentParser(": sim.count("ArgumentParser("),
@@ -230,6 +232,31 @@ def test_e9_sweep_core_is_written_once(benchmark, report):
         [
             "sim/: " + ", ".join(f"{token} x{count}" for token, count in counts.items()),
             f"src/repro: class SimulatedCrash x{halts}",
+        ],
+    )
+
+
+def test_e9_one_failover_client_one_front_end(benchmark, report):
+    """ROADMAP item 3, structurally: the product has one TCP server
+    (``rpc/eventloop.py``; the thread-per-connection rival lives in
+    ``baselines/``) and one client-side view of replica lag (the
+    cluster router's), with the second paths deleted outright."""
+    rpc, tree = once(
+        benchmark, lambda: (_read_tree(os.path.join(_SRC, "rpc")), _read_tree(_SRC))
+    )
+    counts = {
+        "rpc/: socket.create_server(": rpc.count("socket.create_server("),
+        "src/repro: def _lag_of": tree.count("def _lag_of"),
+    }
+    for token, count in counts.items():
+        assert count == 1, f"{token} occurs {count}x"
+    for gone in ("ResilientReplicaGroup", "TcpServerThread"):
+        assert gone not in tree, f"src/repro still names {gone}"
+    report(
+        "E9e one failover client, one TCP front end",
+        [
+            ", ".join(f"{token} x{count}" for token, count in counts.items()),
+            "src/repro: ResilientReplicaGroup x0, TcpServerThread x0",
         ],
     )
 

@@ -11,11 +11,11 @@ import tempfile
 
 from repro import (
     NAMESERVER_INTERFACE,
+    EventLoopServer,
     NameNotFound,
     NameServer,
     RemoteNameServer,
     RpcServer,
-    TcpServerThread,
     TcpTransport,
 )
 
@@ -29,7 +29,7 @@ def main() -> None:
     rpc = RpcServer()
     rpc.export(NAMESERVER_INTERFACE, server)
 
-    with TcpServerThread(rpc) as listener:
+    with EventLoopServer(rpc) as listener:
         print(f"name server listening on {listener.host}:{listener.port}")
         transport = TcpTransport(listener.host, listener.port)
         remote = RemoteNameServer(transport)

@@ -55,7 +55,6 @@ from repro.nameserver import (
     RemoteNameServer,
     Replica,
     ReplicaGroup,
-    ResilientReplicaGroup,
 )
 from repro.obs import MetricsExporter, MetricsRegistry, SlowOpLog, Tracer
 from repro.pickles import TypeRegistry, pickle_read, pickle_write, pickleable
@@ -68,7 +67,6 @@ from repro.rpc import (
     NetworkFaultInjector,
     RetryPolicy,
     RpcServer,
-    TcpServerThread,
     TcpTransport,
     connect,
 )
@@ -109,14 +107,12 @@ __all__ = [
     "RemoteNameServer",
     "Replica",
     "ReplicaGroup",
-    "ResilientReplicaGroup",
     "RetryPolicy",
     "RpcServer",
     "SUELock",
     "SimClock",
     "SimFS",
     "SlowOpLog",
-    "TcpServerThread",
     "TcpTransport",
     "Tracer",
     "TypeRegistry",

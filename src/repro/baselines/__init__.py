@@ -11,6 +11,11 @@ substrate:
   pages: two disk writes per update, reliable;
 * :class:`CheckpointLogDB` — the paper's technique: one disk write per
   update *and* reliable.
+
+One rival sits at the transport rather than the storage layer:
+:class:`repro.baselines.threaded.ThreadPerConnectionServer`, the
+thread-per-connection TCP front end that E5d and E16b measure the event
+loop against.
 """
 
 from repro.baselines.adhoc import AdHocPagedDB

@@ -35,14 +35,10 @@ from repro.nameserver.operations import (
     updates_since,
 )
 from repro.nameserver.replication import (
-    AllPeersUnavailable,
     CircuitBreaker,
     PeerUnavailable,
-    ReadResult,
     Replica,
     ReplicaGroup,
-    ResilientReplicaGroup,
-    SyncReport,
     diverged_leaf_paths,
     repair_divergence,
 )
@@ -64,7 +60,6 @@ from repro.nameserver.tree import (
 )
 
 __all__ = [
-    "AllPeersUnavailable",
     "BadPath",
     "CircuitBreaker",
     "HistoryTruncated",
@@ -79,7 +74,6 @@ __all__ = [
     "NameServerError",
     "Node",
     "PeerUnavailable",
-    "ReadResult",
     "RecoveryFailed",
     "RecoveryPlan",
     "RecoveryReport",
@@ -87,9 +81,7 @@ __all__ = [
     "RemoteNameServer",
     "Replica",
     "ReplicaRecoverer",
-    "ResilientReplicaGroup",
     "SnapshotGone",
-    "SyncReport",
     "abandon_recovery",
     "diverged_leaf_paths",
     "repair_divergence",

@@ -32,12 +32,8 @@ TCP deployments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.core.errors import DatabaseDegraded
 from repro.nameserver.errors import HistoryTruncated
 from repro.nameserver.server import NameServer
-from repro.obs.metrics import MetricsRegistry
 from repro.rpc.errors import CallMaybeExecuted, TransportError
 from repro.sim.clock import Clock, WallClock
 from repro.storage.interface import FileSystem
@@ -45,10 +41,6 @@ from repro.storage.interface import FileSystem
 
 class PeerUnavailable(Exception):
     """The peer could not be reached for propagation or sync."""
-
-
-class AllPeersUnavailable(PeerUnavailable):
-    """Every replica in the group is down or circuit-broken."""
 
 
 class Replica(NameServer):
@@ -99,6 +91,16 @@ class Replica(NameServer):
             labelnames=("direction",),
         )
         self._truncated = {d: truncated.labels(d) for d in ("push", "pull")}
+        self._tree_mismatches = registry.counter(
+            "replication_tree_mismatches_total",
+            "Sync pairs whose version vectors agreed but whose Merkle "
+            "tree digests did not (silent divergence detected).",
+        )
+        self._repair_leaves_shipped = registry.counter(
+            "replication_repair_leaves_shipped_total",
+            "Bindings shipped by anti-entropy tree repair (not whole "
+            "snapshots).",
+        )
 
     @property
     def propagation_failures(self) -> int:
@@ -197,14 +199,39 @@ class Replica(NameServer):
         return applied
 
     def sync_with(self, peer: object) -> tuple[int, int]:
-        """Bidirectional reconciliation; returns (pulled, pushed)."""
+        """Bidirectional reconciliation; returns (pulled, pushed).
+
+        Once records have moved both ways and the two version vectors
+        agree, the trees should too; if their Merkle digests still
+        differ, the divergence is silent and records cannot heal it, so
+        the diverged leaves are force-converged (:meth:`_repair_with`).
+        """
         pulled = self.sync_from(peer)
         try:
             missing = self.updates_since(peer.summary())
             pushed = peer.apply_remote(missing) if missing else 0
+            if dict(peer.summary()) == dict(self.summary()):
+                self._repair_with(peer)
         except (CallMaybeExecuted, *COMMUNICATION_ERRORS) as exc:
             raise PeerUnavailable(f"push failed: {exc!r}") from exc
         return pulled, pushed
+
+    def _repair_with(self, peer: object) -> None:
+        """Merkle-compare with a vector-equal peer; repair what differs."""
+        if self.tree_digest()["digest"] == peer.tree_digest()["digest"]:
+            return
+        peer_id = str(getattr(peer, "replica_id", "peer"))
+        self._tree_mismatches.inc()
+        self.db.flight.record("tree_divergence", peer=peer_id)
+        items, comparisons = diverged_leaf_paths(self, peer)
+        shipped = repair_divergence(self, peer, items)
+        self._repair_leaves_shipped.inc(shipped)
+        self.db.flight.record(
+            "tree_repair",
+            peer=peer_id,
+            leaves_shipped=shipped,
+            comparisons=comparisons,
+        )
 
 
 class ReplicaGroup:
@@ -267,7 +294,6 @@ COMMUNICATION_ERRORS = (PeerUnavailable, TransportError, OSError)
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
-RECOVERING = "recovering"
 
 
 class CircuitBreaker:
@@ -281,13 +307,6 @@ class CircuitBreaker:
     successes — a single lucky probe against a flapping peer must not
     re-admit full traffic — and any probe failure re-opens it for
     another full timeout.
-
-    A fourth state, ``RECOVERING``, is entered explicitly via
-    :meth:`mark_recovering` when the peer is being rebuilt by the
-    replica recoverer: no traffic (not even probes) flows until
-    :meth:`mark_recovered` — recovery completion, not elapsed time, is
-    the only way out, mirroring the health state machine's rule that
-    nothing self-promotes back to healthy.
     """
 
     def __init__(
@@ -315,8 +334,6 @@ class CircuitBreaker:
 
     def allow(self) -> bool:
         """Whether a call to this peer should be attempted now."""
-        if self.state == RECOVERING:
-            return False  # only mark_recovered() re-admits traffic
         if self.state == OPEN:
             if (
                 self.clock.now() - self._opened_at
@@ -329,8 +346,6 @@ class CircuitBreaker:
         return True
 
     def record_success(self) -> None:
-        if self.state == RECOVERING:
-            return
         self.consecutive_failures = 0
         if self.state == HALF_OPEN:
             self.consecutive_successes += 1
@@ -341,8 +356,6 @@ class CircuitBreaker:
             self.state = CLOSED
 
     def record_failure(self) -> None:
-        if self.state == RECOVERING:
-            return
         self.consecutive_failures += 1
         self.consecutive_successes = 0
         if (
@@ -353,19 +366,6 @@ class CircuitBreaker:
                 self.times_opened += 1
             self.state = OPEN
             self._opened_at = self.clock.now()
-
-    def mark_recovering(self) -> None:
-        """The peer is being rebuilt; quarantine it from all traffic."""
-        self.state = RECOVERING
-        self.consecutive_failures = 0
-        self.consecutive_successes = 0
-
-    def mark_recovered(self) -> None:
-        """Recovery finished; the peer rejoins with a clean slate."""
-        if self.state == RECOVERING:
-            self.state = CLOSED
-            self.consecutive_failures = 0
-            self.consecutive_successes = 0
 
 
 # -- anti-entropy tree comparison ---------------------------------------------
@@ -450,478 +450,3 @@ def _absolute(path: tuple, leaves: list) -> list:
         (tuple(path) + tuple(relative), value, lamport, origin, deleted)
         for relative, value, lamport, origin, deleted in leaves
     ]
-
-
-@dataclass
-class ReadResult:
-    """A read served by a possibly-degraded replica group.
-
-    ``degraded`` is True when the preferred (first listed) replica did not
-    serve the read; ``lag`` then reports how many updates the serving
-    replica is known to be missing relative to the freshest version
-    vector the group has seen (0 = fully caught up as far as anyone
-    knows, ``None`` = staleness could not be assessed).
-    """
-
-    value: object
-    served_by: str
-    degraded: bool = False
-    lag: int | None = 0
-    peers_tried: int = 1
-
-
-@dataclass
-class SyncReport:
-    """Outcome of one degraded-tolerant anti-entropy round."""
-
-    records_moved: int = 0
-    peers_synced: int = 0
-    peers_skipped: list[str] = field(default_factory=list)
-    peers_failed: list[str] = field(default_factory=list)
-    #: reachable, but behind their source's history window: only replica
-    #: recovery (snapshot + log tail) can catch them up
-    peers_need_recovery: list[str] = field(default_factory=list)
-    #: pairs whose version vectors agreed but whose tree digests did not
-    tree_mismatches: int = 0
-    #: bindings force-converged by the Merkle repair walk this round
-    leaves_repaired: int = 0
-
-
-class ResilientReplicaGroup:
-    """Drives a replica set that keeps answering while peers fail.
-
-    Where :class:`ReplicaGroup` assumes every replica is reachable (its
-    sync raises :class:`PeerUnavailable` on first failure), this wrapper
-    assumes failure is normal: each peer sits behind a
-    :class:`CircuitBreaker`, reads fail over to live peers with explicit
-    staleness reporting (:class:`ReadResult`), updates fail over to the
-    first live peer, and anti-entropy skips broken peers instead of
-    aborting the round.  Peers may be local :class:`Replica` objects,
-    :class:`~repro.nameserver.client.RemoteNameServer` proxies, or any
-    mix — all that is required is the replication hook surface.
-    """
-
-    def __init__(
-        self,
-        peers: list[object],
-        peer_ids: list[str] | None = None,
-        clock: Clock | None = None,
-        failure_threshold: int = 3,
-        reset_timeout_seconds: float = 30.0,
-        success_threshold: int = 2,
-        track_staleness: bool = True,
-        anti_entropy_repair: bool = True,
-        registry: MetricsRegistry | None = None,
-        flight=None,
-    ) -> None:
-        if not peers:
-            raise ValueError("a replica group needs at least one peer")
-        #: when False, reads skip the extra ``summary()`` round trip and
-        #: report ``lag=None`` (cheaper, but staleness is unassessed)
-        self.track_staleness = track_staleness
-        self.peers = list(peers)
-        if peer_ids is None:
-            peer_ids = [
-                str(getattr(peer, "replica_id", f"peer{i}"))
-                for i, peer in enumerate(self.peers)
-            ]
-        if len(peer_ids) != len(self.peers):
-            raise ValueError("one peer_id per peer")
-        self.peer_ids = list(peer_ids)
-        self.clock = clock if clock is not None else WallClock()
-        #: when False, sync rounds skip the Merkle digest comparison (the
-        #: version-vector gossip still runs)
-        self.anti_entropy_repair = anti_entropy_repair
-        self.breakers = {
-            peer_id: CircuitBreaker(
-                self.clock,
-                failure_threshold,
-                reset_timeout_seconds,
-                success_threshold,
-            )
-            for peer_id in self.peer_ids
-        }
-        self.last_errors: dict[str, str | None] = {
-            peer_id: None for peer_id in self.peer_ids
-        }
-        #: freshest version vector observed from any peer (origin → seq)
-        self.best_vector: dict[str, int] = {}
-        self.registry = registry if registry is not None else MetricsRegistry(
-            clock=self.clock
-        )
-        #: optional :class:`~repro.obs.flight.FlightRecorder`: breaker
-        #: flips and failovers join the shared black-box timeline.
-        self.flight = flight
-        self._failovers = self.registry.counter(
-            "replication_failovers_total",
-            "Reads or updates served by a non-preferred replica.",
-        )
-        self._breaker_state = self.registry.gauge(
-            "replication_breaker_state",
-            "Per-peer circuit state: 0 closed, 1 half-open, 2 open, "
-            "3 recovering.",
-            labelnames=("peer",),
-        )
-        self._breaker_opens = self.registry.counter(
-            "replication_breaker_opens_total",
-            "Circuit-breaker open transitions per peer.",
-            labelnames=("peer",),
-        )
-        self._staleness_lag = self.registry.gauge(
-            "replication_staleness_lag",
-            "Updates the serving replica is known to be missing.",
-            labelnames=("peer",),
-        )
-        self._degraded_rejections = self.registry.counter(
-            "replication_degraded_writes_total",
-            "Updates refused by a degraded read-only replica and failed "
-            "over to a peer.",
-            labelnames=("peer",),
-        )
-        self._tree_mismatches = self.registry.counter(
-            "replication_tree_mismatches_total",
-            "Sync pairs whose version vectors agreed but whose Merkle "
-            "tree digests did not (silent divergence detected).",
-        )
-        self._tree_repairs = self.registry.counter(
-            "replication_tree_repairs_total",
-            "Merkle repair walks that force-converged a diverged pair.",
-        )
-        self._repair_leaves_shipped = self.registry.counter(
-            "replication_repair_leaves_shipped_total",
-            "Bindings shipped by anti-entropy tree repair (not whole "
-            "snapshots).",
-        )
-        self._breaker_state_series = {
-            peer_id: self._breaker_state.labels(peer_id)
-            for peer_id in self.peer_ids
-        }
-        self._breaker_open_counts = {
-            peer_id: self._breaker_opens.labels(peer_id)
-            for peer_id in self.peer_ids
-        }
-        self._breaker_last_state = {
-            peer_id: self.breakers[peer_id].state
-            for peer_id in self.peer_ids
-        }
-
-    @property
-    def failovers(self) -> int:
-        return int(self._failovers.value)
-
-    # -- plumbing -------------------------------------------------------------
-
-    def _available(self) -> list[tuple[int, str, object]]:
-        return [
-            (index, peer_id, peer)
-            for index, (peer_id, peer) in enumerate(
-                zip(self.peer_ids, self.peers)
-            )
-            if self._allow(peer_id)
-        ]
-
-    _STATE_CODES = {CLOSED: 0, HALF_OPEN: 1, OPEN: 2, RECOVERING: 3}
-
-    def _allow(self, peer_id: str) -> bool:
-        allowed = self.breakers[peer_id].allow()
-        self._note_breaker(peer_id)  # allow() may flip open → half-open
-        return allowed
-
-    def _note_breaker(self, peer_id: str) -> None:
-        state = self.breakers[peer_id].state
-        self._breaker_state_series[peer_id].set(self._STATE_CODES[state])
-        previous = self._breaker_last_state[peer_id]
-        if state != previous:
-            self._breaker_last_state[peer_id] = state
-            if self.flight is not None:
-                self.flight.record(
-                    "breaker_transition",
-                    peer=peer_id,
-                    from_state=previous,
-                    to_state=state,
-                )
-
-    def _success(self, peer_id: str) -> None:
-        self.breakers[peer_id].record_success()
-        self.last_errors[peer_id] = None
-        self._note_breaker(peer_id)
-
-    def _failure(self, peer_id: str, exc: Exception) -> None:
-        breaker = self.breakers[peer_id]
-        opened_before = breaker.times_opened
-        breaker.record_failure()
-        if breaker.times_opened > opened_before:
-            self._breaker_open_counts[peer_id].inc(
-                breaker.times_opened - opened_before
-            )
-        self.last_errors[peer_id] = repr(exc)
-        self._note_breaker(peer_id)
-
-    def _note_vector(self, vector: dict[str, int]) -> None:
-        for origin, seq in vector.items():
-            if seq > self.best_vector.get(origin, -1):
-                self.best_vector[origin] = seq
-
-    def _lag_of(self, vector: dict[str, int]) -> int:
-        return sum(
-            best - vector.get(origin, 0)
-            for origin, best in self.best_vector.items()
-            if best > vector.get(origin, 0)
-        )
-
-    # -- degraded reads -------------------------------------------------------
-
-    def read(self, method: str, *args: object) -> ReadResult:
-        """Serve one enquiry from the first live peer, reporting staleness.
-
-        Application-level errors (``NameNotFound``…) propagate untouched:
-        they are answers, not failures.  Communication failures rotate to
-        the next peer — including :class:`CallMaybeExecuted`, which is
-        harmless for an enquiry (re-asking elsewhere has no side effect,
-        unlike :meth:`update`) — and only when every peer is broken does
-        :class:`AllPeersUnavailable` surface.
-        """
-        candidates = self._available()
-        tried = 0
-        for index, peer_id, peer in candidates:
-            tried += 1
-            try:
-                value = getattr(peer, method)(*args)
-                vector = dict(peer.summary()) if self.track_staleness else None
-            except (CallMaybeExecuted, *COMMUNICATION_ERRORS) as exc:
-                self._failure(peer_id, exc)
-                continue
-            self._success(peer_id)
-            lag = None
-            if vector is not None:
-                self._note_vector(vector)
-                lag = self._lag_of(vector)
-                self._staleness_lag.labels(peer_id).set(lag)
-            degraded = index != 0
-            if degraded:
-                self._failovers.inc()
-                if self.flight is not None:
-                    self.flight.record(
-                        "replica_failover",
-                        kind="read",
-                        method=method,
-                        served_by=peer_id,
-                    )
-            return ReadResult(
-                value=value,
-                served_by=peer_id,
-                degraded=degraded,
-                lag=lag,
-                peers_tried=tried,
-            )
-        raise AllPeersUnavailable(
-            f"no replica answered {method!r}: "
-            f"{len(candidates)} tried, "
-            f"{len(self.peers) - len(candidates)} circuit-broken"
-        )
-
-    def lookup(self, path) -> ReadResult:
-        return self.read("lookup", path)
-
-    def exists(self, path) -> ReadResult:
-        return self.read("exists", path)
-
-    def list_dir(self, path=()) -> ReadResult:
-        return self.read("list_dir", path)
-
-    def count(self) -> ReadResult:
-        return self.read("count")
-
-    # -- updates with failover ------------------------------------------------
-
-    def update(self, method: str, *args: object) -> str:
-        """Apply one update at the first live peer; returns its peer id.
-
-        A :class:`~repro.rpc.errors.CallMaybeExecuted` from a remote peer
-        is *not* grounds for failover — blindly reissuing elsewhere could
-        apply the update twice under two origins — so it propagates to the
-        caller, who can retry through the same client safely.
-
-        A :class:`~repro.core.errors.DatabaseDegraded` answer means the
-        peer is alive but its storage refuses writes (degraded
-        read-only): the update fails over to the next peer *without*
-        opening the circuit breaker, so reads keep flowing to the
-        degraded replica while writes route around it.
-        """
-        candidates = self._available()
-        degraded: list[str] = []
-        for index, peer_id, peer in candidates:
-            try:
-                getattr(peer, method)(*args)
-            except DatabaseDegraded as exc:
-                # Write-unavailable, not dead: the update never executed
-                # (it was refused up front), so reissuing elsewhere is
-                # safe, and the breaker stays closed for enquiries.
-                self.last_errors[peer_id] = repr(exc)
-                self._degraded_rejections.labels(peer_id).inc()
-                degraded.append(peer_id)
-                continue
-            except COMMUNICATION_ERRORS as exc:
-                # CallMaybeExecuted is RpcError, not TransportError, so it
-                # is never swallowed here.
-                self._failure(peer_id, exc)
-                continue
-            self._success(peer_id)
-            if index != 0:
-                self._failovers.inc()
-                if self.flight is not None:
-                    self.flight.record(
-                        "replica_failover",
-                        kind="update",
-                        method=method,
-                        served_by=peer_id,
-                    )
-            return peer_id
-        raise AllPeersUnavailable(
-            f"no replica accepted {method!r}: "
-            f"{len(candidates)} tried ({len(degraded)} degraded "
-            f"read-only), {len(self.peers) - len(candidates)} "
-            f"circuit-broken"
-        )
-
-    def bind(self, path, value, exclusive: bool = False) -> str:
-        return self.update("bind", path, value, exclusive)
-
-    def unbind(self, path) -> str:
-        return self.update("unbind", path)
-
-    # -- degraded anti-entropy ------------------------------------------------
-
-    def sync_round(self) -> SyncReport:
-        """One gossip ring pass that tolerates broken peers.
-
-        Each live peer pulls from its nearest live ring successor; broken
-        peers are reported in the result instead of aborting the round
-        (contrast :meth:`ReplicaGroup.anti_entropy_round`), and so are
-        peers that are behind their source's history window.
-        """
-        report = SyncReport()
-        live = self._available()
-        broken = set(self.peer_ids) - {peer_id for _, peer_id, _ in live}
-        report.peers_skipped = sorted(broken)
-        if len(live) < 2:
-            return report
-        for position, (_, peer_id, peer) in enumerate(live):
-            _, source_id, source = live[(position + 1) % len(live)]
-            try:
-                records = source.updates_since(peer.summary())
-                moved = peer.apply_remote(records) if records else 0
-                peer_vector = dict(peer.summary())
-                self._note_vector(peer_vector)
-                self._tree_repair_pass(
-                    peer_id, peer, source_id, source, peer_vector, report
-                )
-            except HistoryTruncated as exc:
-                # Both links work, so no breaker moves; more rounds of
-                # gossip cannot help this peer either.
-                self.last_errors[peer_id] = repr(exc)
-                report.peers_need_recovery.append(peer_id)
-                continue
-            except (CallMaybeExecuted, *COMMUNICATION_ERRORS) as exc:
-                # An ambiguous apply_remote is tolerable here: remote
-                # apply is idempotent (version-vector filtered), so the
-                # next round converges regardless.
-                # Attribute the failure to whichever side broke; opening
-                # both is safe (each will be re-probed) but imprecise.
-                self._failure(peer_id, exc)
-                self._failure(source_id, exc)
-                report.peers_failed.append(peer_id)
-                continue
-            self._success(peer_id)
-            self._success(source_id)
-            report.peers_synced += 1
-            report.records_moved += moved
-        return report
-
-    def _tree_repair_pass(
-        self,
-        peer_id: str,
-        peer: object,
-        source_id: str,
-        source: object,
-        peer_vector: dict[str, int],
-        report: SyncReport,
-    ) -> None:
-        """Merkle-compare a synced pair; force-converge silent divergence.
-
-        Only meaningful once the pair's version vectors agree — while
-        records are still flowing, differing trees are expected, and the
-        next round compares again.  Peers predating the repair surface
-        (no ``tree_digest``) are skipped silently: the interface extends
-        wire-compatibly.
-        """
-        if not self.anti_entropy_repair:
-            return
-        if not hasattr(peer, "tree_digest") or not hasattr(
-            source, "tree_digest"
-        ):
-            return
-        if peer_vector != dict(source.summary()):
-            return
-        if peer.tree_digest()["digest"] == source.tree_digest()["digest"]:
-            return
-        report.tree_mismatches += 1
-        self._tree_mismatches.inc()
-        if self.flight is not None:
-            self.flight.record(
-                "tree_divergence", peer=peer_id, source=source_id
-            )
-        items, comparisons = diverged_leaf_paths(peer, source)
-        shipped = repair_divergence(peer, source, items)
-        report.leaves_repaired += shipped
-        self._tree_repairs.inc()
-        self._repair_leaves_shipped.inc(shipped)
-        if self.flight is not None:
-            self.flight.record(
-                "tree_repair",
-                peer=peer_id,
-                source=source_id,
-                leaves_shipped=shipped,
-                comparisons=comparisons,
-            )
-
-    # -- replica recovery -----------------------------------------------------
-
-    def mark_recovering(self, peer_id: str) -> None:
-        """Quarantine ``peer_id`` while the recoverer rebuilds it.
-
-        Reads, updates and sync rounds all skip a RECOVERING peer; unlike
-        OPEN there is no timed re-probe — only :meth:`mark_recovered`
-        (recovery completion) re-admits traffic.
-        """
-        self.breakers[peer_id].mark_recovering()
-        self._note_breaker(peer_id)
-
-    def mark_recovered(self, peer_id: str, peer: object = None) -> None:
-        """Re-admit a rebuilt peer, optionally swapping in its new handle.
-
-        Cutover produces a *new* replica object (the old one was closed
-        with its damaged database); pass it as ``peer`` so subsequent
-        reads and syncs reach the rebuilt instance.
-        """
-        if peer is not None:
-            self.peers[self.peer_ids.index(peer_id)] = peer
-        self.breakers[peer_id].mark_recovered()
-        self.last_errors[peer_id] = None
-        self._note_breaker(peer_id)
-
-    # -- observability --------------------------------------------------------
-
-    def status(self) -> dict[str, dict[str, object]]:
-        """Per-peer circuit state and last error, for operators."""
-        return {
-            peer_id: {
-                "state": self.breakers[peer_id].state,
-                "consecutive_failures": self.breakers[
-                    peer_id
-                ].consecutive_failures,
-                "times_opened": self.breakers[peer_id].times_opened,
-                "last_error": self.last_errors[peer_id],
-            }
-            for peer_id in self.peer_ids
-        }

@@ -35,10 +35,7 @@ from repro.obs import (
     SlowOpLog,
     Tracer,
 )
-from repro.rpc import EventLoopServer, RpcServer, TcpServerThread, TcpTransport
-
-#: the two TCP front ends a node can serve through
-SERVER_MODELS = ("eventloop", "threaded")
+from repro.rpc import EventLoopServer, RpcServer, TcpTransport
 from repro.storage.localfs import LocalFS
 
 
@@ -67,9 +64,6 @@ class NodeOptions:
     #: background stack sampler (None disables; flame stacks then serve
     #: at ``/profile`` and through the ``profile`` management RPC)
     profile_interval: float | None = None
-    #: TCP front end: "eventloop" (selector loop + dispatch pool, the
-    #: default) or "threaded" (one thread per connection)
-    server_model: str = "eventloop"
     #: when True, a node that is (or becomes) degraded automatically runs
     #: staged replica recovery against its peers: snapshot shipping,
     #: log-tail catch-up, atomic cutover (see repro.nameserver.recover)
@@ -161,21 +155,10 @@ class Node:
             recover_hook=self.recover,
         )
         self.rpc.export(MANAGEMENT_INTERFACE, self.management)
-        if options.server_model not in SERVER_MODELS:
-            raise ValueError(
-                f"unknown server model {options.server_model!r}; "
-                f"one of {SERVER_MODELS}"
-            )
-        if options.server_model == "threaded":
-            self.listener = TcpServerThread(
-                self.rpc, host=options.host, port=options.port,
-                flight=self.flight,
-            ).start()
-        else:
-            self.listener = EventLoopServer(
-                self.rpc, host=options.host, port=options.port,
-                flight=self.flight,
-            ).start()
+        self.listener = EventLoopServer(
+            self.rpc, host=options.host, port=options.port,
+            flight=self.flight,
+        ).start()
 
         self.metrics_exporter: MetricsExporter | None = None
         if options.metrics_port is not None:
@@ -522,11 +505,6 @@ def main(argv: list[str] | None = None) -> int:
         "(flame stacks at /profile and via the profile management RPC)",
     )
     parser.add_argument(
-        "--server-model", choices=SERVER_MODELS, default="eventloop",
-        help="TCP front end: the event-driven selector loop (default) or "
-        "the legacy thread-per-connection server",
-    )
-    parser.add_argument(
         "--shard-id", default=None,
         help="serve as this shard of a cluster (requires --shard-map); "
         "keyed requests outside the owned ranges answer WrongShard",
@@ -574,7 +552,6 @@ def main(argv: list[str] | None = None) -> int:
             spare_directory=args.spare_dir,
             fault_retries=args.fault_retries,
             profile_interval=args.profile_interval,
-            server_model=args.server_model,
             auto_recover=args.auto_recover,
             shard_id=args.shard_id,
             shard_map_file=args.shard_map,

@@ -22,6 +22,11 @@ so CI can gate on it; a first run with no baseline passes.
 Per-metric tolerances live in an optional JSON config (``--config``,
 default ``benchmarks/results/regress.json``) mapping metric name →
 ``{"rel_tol": ..., "mad_k": ..., "abs_tol": ..., "direction": ...}``.
+
+A metric whose effective ``mad_k`` and ``rel_tol`` are both 0 is an exact
+count (source lines, say): it is judged against the **newest** run that
+holds it rather than the window median, so one recorded run re-bases it
+and "ok" means "did not move past ``abs_tol`` since the last run".
 """
 
 from __future__ import annotations
@@ -123,6 +128,9 @@ class Verdict:
     baseline_median: float | None = None
     tolerance: float | None = None
     history: int = 0
+    #: what ``baseline_median`` is: the window "median", or the "newest"
+    #: run's value for an exact count
+    baseline: str = "median"
 
     @property
     def gating(self) -> bool:
@@ -138,7 +146,7 @@ class Verdict:
         if self.status in ("new", "info"):
             return f"{base} ({self.status})"
         return (
-            f"{base} vs median {self.baseline_median:g} "
+            f"{base} vs {self.baseline} {self.baseline_median:g} "
             f"± {self.tolerance:g} over {self.history} run(s): {self.status}"
         )
 
@@ -194,14 +202,14 @@ def compare(
             verdict.status = "new"
             verdicts.append(verdict)
             continue
-        med = median(history)
-        tol = _tolerance(
-            history,
-            med,
-            float(o.get("mad_k", mad_k)),
-            float(o.get("rel_tol", rel_tol)),
-            float(o.get("abs_tol", abs_tol)),
-        )
+        k = float(o.get("mad_k", mad_k))
+        rel = float(o.get("rel_tol", rel_tol))
+        if k == 0 and rel == 0:
+            verdict.baseline = "newest"
+            med = history[-1]
+        else:
+            med = median(history)
+        tol = _tolerance(history, med, k, rel, float(o.get("abs_tol", abs_tol)))
         verdict.baseline_median = med
         verdict.tolerance = tol
         delta = value - med

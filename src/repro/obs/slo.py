@@ -3,8 +3,7 @@
 The paper promises a service, not a process: "a name server" that
 answers enquiries fast and accepts updates.  This module states those
 promises as declarative :class:`SloTarget` objects — p99 latency bounds,
-an error-rate ceiling, follower-staleness and write-availability bounds
-— and evaluates them against the aggregated per-replica snapshots the
+an error-rate ceiling and a write-availability bound — and evaluates them against the aggregated per-replica snapshots the
 :class:`~repro.obs.aggregate.MetricsAggregator` produces.
 
 Evaluation is the SRE-book burn-rate scheme: every target defines an
@@ -201,14 +200,6 @@ def default_slo_targets() -> list[SloTarget]:
             bad_metric="db_updates_rejected_total",
             total_metrics=("db_updates_total", "db_updates_rejected_total"),
             description="rejected updates below 0.1% of all updates",
-        ),
-        SloTarget(
-            name="follower_staleness",
-            kind="gauge_max",
-            objective=0.99,
-            metric="replication_staleness_lag",
-            bound=64.0,
-            description="no follower serves more than 64 updates behind",
         ),
         SloTarget(
             name="write_availability",

@@ -74,7 +74,6 @@ from repro.rpc.transport import (
     LoopbackTransport,
     NetworkModel,
     NULL_NETWORK,
-    TcpServerThread,
     TcpTransport,
     Transport,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "RpcServer",
     "StaleCall",
     "Str",
-    "TcpServerThread",
     "TcpTransport",
     "Transport",
     "TransportClosed",

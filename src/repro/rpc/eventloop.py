@@ -1,10 +1,10 @@
 """Event-driven TCP front end: one selector loop, many connections.
 
-The thread-per-connection server (:class:`~repro.rpc.transport.TcpServerThread`)
-spends a thread — and its share of scheduler churn — on every client,
-which caps how much concurrency the transport can feed the group-commit
-pipeline.  This server replaces that with the classic single-event-loop
-shape on the stdlib :mod:`selectors` module:
+A thread-per-connection server spends a thread — and its share of
+scheduler churn — on every client, which caps how much concurrency the
+transport can feed the group-commit pipeline (E5d measures one, kept as a
+comparator in :mod:`repro.baselines.threaded`).  This server is the
+classic single-event-loop shape on the stdlib :mod:`selectors` module:
 
 * one loop thread owns the listener and every connection's buffers and
   does all socket I/O non-blocking (incremental length-prefix frame
@@ -30,11 +30,9 @@ shape on the stdlib :mod:`selectors` module:
   backpressure: an overloaded connection simply stops being read until
   its responses drain (recorded in the flight ring as ``rpc_overload``).
 
-The dispatch contract (:meth:`repro.rpc.server.RpcServer.dispatch`), the
-wire format, and the lifecycle API (``start``/``stop``/context manager,
-no leaked sockets or threads after ``stop``) are identical to
-:class:`TcpServerThread`, so the two are drop-in interchangeable — see
-``--server-model`` in :mod:`repro.nameserver.serve`.
+It is the only TCP server in :mod:`repro.rpc`: every node serves through
+it (:mod:`repro.nameserver.serve`), and :class:`~repro.rpc.transport.TcpTransport`
+is its client.
 """
 
 from __future__ import annotations
@@ -100,8 +98,7 @@ class _Connection:
 class EventLoopServer:
     """An event-driven TCP front end for an :class:`RpcServer`.
 
-    Same contract as :class:`~repro.rpc.transport.TcpServerThread`: a
-    malformed frame closes only that connection (with a flight event and
+    A malformed frame closes only that connection (with a flight event and
     a bumped ``rpc_server_connection_errors_total``); ``stop()`` closes
     the listener and every connection and joins the loop and worker
     threads; an unexpected listener death is loud (counter + flight
@@ -332,7 +329,7 @@ class EventLoopServer:
                 self._selector.register(conn.sock, conn.events, conn)
 
     def _note_listener_failure(self, exc: OSError) -> None:
-        """The loud-death contract, same as the threaded front end."""
+        """The loud-death contract: a listener must never die quietly."""
         if self.listener_failed:
             return
         self.listener_failed = True
@@ -343,7 +340,6 @@ class EventLoopServer:
                 host=self.host,
                 port=self.port,
                 error=repr(exc),
-                server_model="eventloop",
             )
 
     def _drain_waker(self) -> None:
@@ -383,8 +379,7 @@ class EventLoopServer:
             self._drop(conn, None)
             return
         if not data:
-            # A disconnect, even mid-frame, is quiet: same as the threaded
-            # server.
+            # A disconnect, even mid-frame, is quiet.
             self._drop(conn, None)
             return
         conn.inbuf += data

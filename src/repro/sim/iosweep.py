@@ -73,7 +73,7 @@ from repro.core import (
     OperationRegistry,
 )
 from repro.nameserver.recover import ReplicaRecoverer
-from repro.nameserver.replication import Replica, ResilientReplicaGroup
+from repro.nameserver.replication import Replica
 from repro.nameserver.tree import find_node, parse_path
 from repro.obs.flight import BLACKBOX_FILE, FlightRecorder, load_blackbox
 from repro.sim.clock import SimClock
@@ -688,11 +688,12 @@ def run_divergence(max_rounds: int = 2) -> list[str]:
 
     Seeds two converged replicas, then corrupts one leaf on one of them
     *without* touching its replication stamp — the failure mode version
-    vectors cannot see.  The resilient group's per-round Merkle
-    comparison must detect the divergence and repair it within
-    ``max_rounds`` sync rounds, shipping only the diverged leaves (never
-    a full snapshot: the recoverer plays no part here).  Returns a list
-    of invariant violations (empty = clean).
+    vectors cannot see.  The Merkle comparison in
+    :meth:`~repro.nameserver.replication.Replica.sync_with` must detect
+    the divergence and repair it within ``max_rounds`` calls, shipping
+    only the diverged leaves (never a full snapshot: the recoverer plays
+    no part here).  Returns a list of invariant violations (empty =
+    clean).
     """
     failures: list[str] = []
     clock = SimClock()
@@ -723,19 +724,16 @@ def run_divergence(max_rounds: int = 2) -> list[str]:
     if left.tree_digest() == right.tree_digest():
         return ["the seeded corruption did not change the tree digest"]
 
-    group = ResilientReplicaGroup(
-        [left, right], clock=clock, track_staleness=False
-    )
-    mismatches = 0
-    shipped = 0
+    registry = left.db.registry
+    mismatches = registry.get("replication_tree_mismatches_total")
+    shipped = registry.get("replication_repair_leaves_shipped_total")
     rounds_used = 0
     for rounds_used in range(1, max_rounds + 1):
-        report = group.sync_round()
-        mismatches += report.tree_mismatches
-        shipped += report.leaves_repaired
+        left.sync_with(right)
         if left.tree_digest() == right.tree_digest():
             break
-    if mismatches < 1:
+    detected = mismatches.value
+    if detected < 1:
         failures.append("the divergence was never detected")
     if left.tree_digest() != right.tree_digest():
         failures.append(
@@ -743,15 +741,15 @@ def run_divergence(max_rounds: int = 2) -> list[str]:
         )
     if sorted(left.read_subtree()) != sorted(right.read_subtree()):
         failures.append("tree digests agree but the entries differ")
-    if shipped == 0:
+    if shipped.value == 0:
         failures.append("convergence happened without shipping any repair")
-    elif shipped >= len(seeds):
+    elif shipped.value >= len(seeds):
         failures.append(
-            f"repair shipped {shipped} leaves for 1 diverged binding "
+            f"repair shipped {shipped.value:g} leaves for 1 diverged binding "
             f"of {len(seeds)} — that is a full transfer, not a targeted "
             f"repair"
         )
-    follow_up = group.sync_round()
-    if follow_up.tree_mismatches != 0:
+    left.sync_with(right)
+    if mismatches.value != detected:
         failures.append("a repaired pair still reports tree mismatches")
     return failures

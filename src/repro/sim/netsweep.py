@@ -48,7 +48,6 @@ from repro.rpc import (
     RpcClient,
     RpcServer,
     Str,
-    TcpServerThread,
     TcpTransport,
     Void,
 )
@@ -57,10 +56,10 @@ from repro.sim.clock import SimClock
 from repro.sim.sweep import Outcome, Sweep
 
 #: What carries the calls: "loopback" (in-process, fully simulated — the
-#: default and the fastest) or a real TCP front end ("threaded" /
-#: "eventloop"), so the sweep's at-most-once claim covers the actual
-#: servers a node deploys, not just the simulated transport.
-SWEEP_SERVER_MODELS = ("loopback", "threaded", "eventloop")
+#: default and the fastest) or "eventloop", the real TCP front end, so the
+#: sweep's at-most-once claim covers the server a node deploys, not just
+#: the simulated transport.
+CARRIERS = ("loopback", "eventloop")
 
 #: A scripted step: ("put", key, value) | ("incr", key, by) | ("get", key)
 Step = tuple
@@ -160,9 +159,9 @@ class NetworkFaultSweep(Sweep):
         "--kinds": {"dest": "kinds", "nargs": "+", "choices": FAULT_KINDS},
         "--server-model": {
             "dest": "server_model",
-            "choices": SWEEP_SERVER_MODELS,
+            "choices": CARRIERS,
             "help": "carry calls in-process (loopback, default) or through "
-            "a real TCP front end (threaded / eventloop)",
+            "the real TCP front end (eventloop)",
         },
     }
 
@@ -174,10 +173,10 @@ class NetworkFaultSweep(Sweep):
         client_id: str = "netsweep",
         server_model: str = "loopback",
     ) -> None:
-        if server_model not in SWEEP_SERVER_MODELS:
+        if server_model not in CARRIERS:
             raise ValueError(
                 f"unknown server model {server_model!r}; "
-                f"one of {SWEEP_SERVER_MODELS}"
+                f"one of {CARRIERS}"
             )
         self.steps = list(DEFAULT_STEPS if steps is None else steps)
         self.phases = [("network", {"kind": kinds})]
@@ -198,8 +197,8 @@ class NetworkFaultSweep(Sweep):
 
     def _build(self, injector: NetworkFaultInjector, seed: int):
         """One fresh client/server pair; returns a closer that tears it
-        all down (for the TCP models: stops the listener and its
-        threads, so a full sweep never accumulates servers)."""
+        all down (over TCP: stops the listener and its threads, so a
+        full sweep never accumulates servers)."""
         clock = SimClock()
         service = SweepService()
         server = RpcServer()
@@ -212,12 +211,7 @@ class NetworkFaultSweep(Sweep):
             # because FaultyTransport sits above the socket — a dropped
             # request never reaches it, a dropped reply is discarded
             # after the call genuinely executed over the wire.
-            front_type = (
-                TcpServerThread
-                if self.server_model == "threaded"
-                else EventLoopServer
-            )
-            front = front_type(server).start()
+            front = EventLoopServer(server).start()
             inner = TcpTransport(front.host, front.port)
         transport = FaultyTransport(inner, injector, clock=clock)
         client = RpcClient(

@@ -10,7 +10,7 @@ from repro.apps.accounts_rpc import (
     AccountService,
     RemoteAccountRegistry,
 )
-from repro.rpc import LoopbackTransport, RpcServer, TcpServerThread, TcpTransport
+from repro.rpc import EventLoopServer, LoopbackTransport, RpcServer, TcpTransport
 from repro.sim import SimClock
 from repro.storage import SimFS
 
@@ -92,7 +92,7 @@ class TestRemoteAccounts:
     def test_over_real_tcp(self, registry):
         rpc = RpcServer()
         rpc.export(ACCOUNTS_INTERFACE, AccountService(registry))
-        with TcpServerThread(rpc) as srv:
+        with EventLoopServer(rpc) as srv:
             remote = RemoteAccountRegistry(TcpTransport(srv.host, srv.port))
             try:
                 remote.create("dave")

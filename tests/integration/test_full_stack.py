@@ -20,7 +20,7 @@ from repro.nameserver import (
     RemoteNameServer,
     Replica,
 )
-from repro.rpc import RpcServer, TcpServerThread, TcpTransport
+from repro.rpc import EventLoopServer, RpcServer, TcpTransport
 from repro.sim import SimClock
 from repro.storage import SimFS
 
@@ -35,7 +35,7 @@ class ReplicaHost:
         self.rpc = RpcServer()
         self.rpc.export(NAMESERVER_INTERFACE, self.replica)
         self.rpc.export(MANAGEMENT_INTERFACE, ManagementService(self.replica))
-        self.listener = TcpServerThread(self.rpc).start()
+        self.listener = EventLoopServer(self.rpc).start()
         self._transports: list[TcpTransport] = []
 
     def data_client(self) -> RemoteNameServer:
@@ -56,7 +56,7 @@ class ReplicaHost:
         self.rpc = RpcServer()
         self.rpc.export(NAMESERVER_INTERFACE, self.replica)
         self.rpc.export(MANAGEMENT_INTERFACE, ManagementService(self.replica))
-        self.listener = TcpServerThread(self.rpc).start()
+        self.listener = EventLoopServer(self.rpc).start()
 
     def shutdown(self) -> None:
         for transport in self._transports:

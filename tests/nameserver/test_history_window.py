@@ -12,7 +12,7 @@ What that has to mean, by test rather than by argument:
 * **a typed answer outside it** — ``HistoryTruncated`` names the origins,
   crosses RPC as itself, and every place that can meet it reacts: the
   recoverer renegotiates against a fresh checkpoint, ``propagate`` and
-  ``sync_round`` mark the peer, a serving node recovers itself (or goes
+  ``sync_from`` mark the peer, a serving node recovers itself (or goes
   on serving and says so).
 """
 
@@ -36,7 +36,6 @@ from repro.nameserver import (
     RemoteNameServer,
     Replica,
     ReplicaRecoverer,
-    ResilientReplicaGroup,
     new_root,
     operations,
 )
@@ -307,20 +306,6 @@ def test_sync_from_still_wraps_a_dead_link():
     replica = Replica(SimFS(clock=SimClock()), "a")
     with pytest.raises(PeerUnavailable):
         replica.sync_from(DeadPeer())
-
-
-def test_sync_round_reports_the_peer_as_needing_recovery():
-    ahead, behind = wedged_pair()
-    group = ResilientReplicaGroup([ahead, behind], failure_threshold=1)
-    before = behind.summary()
-    report = group.sync_round()
-    assert report.peers_need_recovery == ["behind"]
-    assert report.peers_failed == []
-    assert behind.summary() == before
-    assert {s["state"] for s in group.status().values()} == {CLOSED}
-    assert "HistoryTruncated" in group.status()["behind"]["last_error"]
-    # the other direction of the ring still ran: ahead pulled from behind
-    assert report.peers_synced == 1
 
 
 # -- (v) the wedge ------------------------------------------------------------

@@ -1,15 +1,21 @@
 """Replication: propagation, anti-entropy convergence, conflict
-resolution, hard-error restoration — the paper's section 4 story."""
+resolution, silent-divergence repair, hard-error restoration — the
+paper's section 4 story — and the per-peer circuit breaker."""
 
 from __future__ import annotations
 
+import pytest
+
 from repro.nameserver import (
     NAMESERVER_INTERFACE,
+    CircuitBreaker,
     RemoteNameServer,
     Replica,
     ReplicaGroup,
     ReplicaRecoverer,
 )
+from repro.nameserver.replication import CLOSED, HALF_OPEN, OPEN
+from repro.nameserver.tree import find_node
 from repro.rpc import LoopbackTransport, RpcServer
 from repro.sim import SimClock
 from repro.storage import SimFS
@@ -122,6 +128,60 @@ class TestAntiEntropy:
         assert pulled == 1 and pushed == 1
         assert a.count() == b.count() == 2
 
+    def test_sync_with_repairs_a_silent_divergence(self):
+        _, (a, b) = make_replicas(2)
+        for path, value in [
+            ("svc/web/alpha", 1), ("svc/web/beta", 2), ("svc/db/gamma", 3),
+            ("cfg/ttl", 60), ("cfg/quota", 5),
+        ]:
+            a.bind(path, value)
+        a.sync_with(b)
+        assert a.summary() == b.summary()
+        assert a.tree_digest() == b.tree_digest()
+
+        def corrupt(root):
+            # a new value under the old stamp: invisible to version vectors
+            find_node(root["tree"], ("svc", "web", "beta")).leaf.value = -999
+
+        b.db.enquire(corrupt)
+        assert a.tree_digest() != b.tree_digest()
+        assert a.sync_with(b) == (0, 0)  # no records moved, yet it healed
+        assert a.tree_digest() == b.tree_digest()
+        assert sorted(a.read_subtree()) == sorted(b.read_subtree())
+        registry = a.db.registry
+        mismatches = registry.get("replication_tree_mismatches_total")
+        shipped = registry.get("replication_repair_leaves_shipped_total")
+        assert mismatches.value == 1
+        assert 0 < shipped.value < a.count()  # targeted, not a full copy
+        (found,) = a.db.flight.events("tree_divergence")
+        assert found["fields"]["peer"] == "b"
+        (repaired,) = a.db.flight.events("tree_repair")
+        assert repaired["fields"]["leaves_shipped"] == shipped.value
+        a.sync_with(b)  # a converged pair: one root exchange, no repair
+        assert mismatches.value == 1
+        assert len(a.db.flight.events("tree_repair")) == 1
+
+    def test_sync_with_leaves_the_trees_alone_while_vectors_differ(self):
+        _, (a, b) = make_replicas(2)
+        a.bind("k", 1)
+
+        class OneWay:
+            """Accepts no pushes, so the two vectors never meet."""
+
+            replica_id = "one-way"
+
+            def __getattr__(self, name):
+                return getattr(b, name)
+
+            def apply_remote(self, records):
+                return 0
+
+            def tree_digest(self, path=()):
+                raise AssertionError("compared trees with unequal vectors")
+
+        a.sync_with(OneWay())
+        assert a.db.registry.get("replication_tree_mismatches_total").value == 0
+
     def test_replication_over_rpc(self):
         fs_a, fs_b = SimFS(clock=SimClock()), SimFS(clock=SimClock())
         a = Replica(fs_a, "a")
@@ -210,3 +270,96 @@ class TestRestoration:
         a2.add_peer(b)
         assert a2.propagate() == 1
         assert b.lookup("two") == 2
+
+
+class TestCircuitBreaker:
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            CircuitBreaker(failure_threshold=0)
+        with pytest.raises(ValueError):
+            CircuitBreaker(reset_timeout_seconds=-1)
+
+    def test_opens_after_threshold(self):
+        breaker = CircuitBreaker(SimClock(), failure_threshold=3)
+        breaker.record_failure()
+        breaker.record_failure()
+        assert breaker.state == CLOSED and breaker.allow()
+        breaker.record_failure()
+        assert breaker.state == OPEN
+        assert not breaker.allow()
+        assert breaker.times_opened == 1
+
+    def test_success_resets_failure_count(self):
+        breaker = CircuitBreaker(SimClock(), failure_threshold=2)
+        breaker.record_failure()
+        breaker.record_success()
+        breaker.record_failure()
+        assert breaker.state == CLOSED  # streak broken, never opened
+
+    def test_half_open_probe_after_timeout(self):
+        clock = SimClock()
+        breaker = CircuitBreaker(
+            clock, failure_threshold=1, reset_timeout_seconds=30.0
+        )
+        breaker.record_failure()
+        assert not breaker.allow()
+        clock.advance(29.0)
+        assert not breaker.allow()  # still cooling off
+        clock.advance(1.0)
+        assert breaker.allow()
+        assert breaker.state == HALF_OPEN
+
+    def test_probe_successes_close(self):
+        clock = SimClock()
+        breaker = CircuitBreaker(
+            clock, failure_threshold=1, reset_timeout_seconds=1.0,
+            success_threshold=2,
+        )
+        breaker.record_failure()
+        clock.advance(1.0)
+        assert breaker.allow()
+        # One lucky probe against a flapping peer must not re-admit full
+        # traffic: the circuit stays half-open until success_threshold
+        # consecutive probes succeed.
+        breaker.record_success()
+        assert breaker.state == HALF_OPEN
+        assert breaker.allow()
+        breaker.record_success()
+        assert breaker.state == CLOSED
+        assert breaker.allow()
+
+    def test_probe_failure_resets_success_streak(self):
+        clock = SimClock()
+        breaker = CircuitBreaker(
+            clock, failure_threshold=1, reset_timeout_seconds=1.0,
+            success_threshold=2,
+        )
+        breaker.record_failure()
+        clock.advance(1.0)
+        assert breaker.allow()
+        breaker.record_success()
+        assert breaker.state == HALF_OPEN
+        breaker.record_failure()  # the streak must restart from zero
+        assert breaker.state == OPEN
+        clock.advance(1.0)
+        assert breaker.allow()
+        breaker.record_success()
+        assert breaker.state == HALF_OPEN
+        breaker.record_success()
+        assert breaker.state == CLOSED
+
+    def test_probe_failure_reopens_for_full_timeout(self):
+        clock = SimClock()
+        breaker = CircuitBreaker(
+            clock, failure_threshold=3, reset_timeout_seconds=10.0
+        )
+        for _ in range(3):
+            breaker.record_failure()
+        clock.advance(10.0)
+        assert breaker.allow()  # half-open probe
+        breaker.record_failure()  # one failure re-opens — no threshold wait
+        assert breaker.state == OPEN
+        assert breaker.times_opened == 2
+        assert not breaker.allow()
+        clock.advance(9.9)
+        assert not breaker.allow()

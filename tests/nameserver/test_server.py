@@ -12,7 +12,7 @@ from repro.nameserver import (
     NameServer,
     RemoteNameServer,
 )
-from repro.rpc import LoopbackTransport, RpcServer, TcpServerThread, TcpTransport
+from repro.rpc import EventLoopServer, LoopbackTransport, RpcServer, TcpTransport
 from repro.sim import MICROVAX_II
 
 
@@ -183,7 +183,7 @@ class TestRpcAccess:
     def test_remote_over_tcp(self, ns):
         rpc = RpcServer()
         rpc.export(NAMESERVER_INTERFACE, ns)
-        with TcpServerThread(rpc) as srv:
+        with EventLoopServer(rpc) as srv:
             remote = RemoteNameServer(TcpTransport(srv.host, srv.port))
             try:
                 remote.bind("tcp/name", [1, 2, 3])

@@ -132,6 +132,21 @@ class TestCompare:
         )
         assert verdict.status == "info"
 
+    def test_an_exact_count_is_judged_against_the_newest_run(self):
+        history = [_run(lines=v) for v in (100.0, 100.0, 120.0)]
+        current = {"lines": metric(118.0, "lines")}
+        (windowed,) = compare(current, history, mad_k=0.0, rel_tol=0.01)
+        assert windowed.status == "regressed"
+        assert windowed.baseline_median == 100.0
+        (exact,) = compare(current, history, mad_k=0.0, rel_tol=0.0)
+        assert exact.status == "improved"
+        assert exact.baseline_median == 120.0
+        assert "vs newest 120" in exact.describe()
+        (overridden,) = compare(
+            current, history, overrides={"lines": {"mad_k": 0, "rel_tol": 0}}
+        )
+        assert overridden.status == "improved"
+
     def test_format_puts_regressions_first(self):
         text = format_verdicts(
             [

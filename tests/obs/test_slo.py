@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.nameserver import RemoteNameServer
+from repro.nameserver.serve import NodeOptions, build_node
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import (
@@ -12,6 +14,7 @@ from repro.obs.slo import (
     default_slo_targets,
     load_slo_config,
 )
+from repro.rpc import TcpTransport
 from repro.sim.clock import SimClock
 
 
@@ -113,9 +116,26 @@ class TestConfig:
             "update_latency",
             "enquire_latency",
             "error_rate",
-            "follower_staleness",
             "write_availability",
         }
+
+    def test_every_stock_target_reads_a_family_a_node_exports(
+        self, tmp_path
+    ):
+        """A target over a metric no node registers can never burn."""
+        options = NodeOptions(directory=str(tmp_path))
+        with build_node(options) as node:
+            remote = RemoteNameServer(TcpTransport("127.0.0.1", node.port))
+            try:
+                remote.bind("svc/web", 1)
+                assert remote.lookup("svc/web") == 1
+            finally:
+                remote.close()
+            exported = set(node.registry.snapshot())
+        for target in default_slo_targets():
+            named = {target.metric, target.bad_metric, *target.total_metrics}
+            missing = named - {""} - exported
+            assert not missing, f"{target.name} reads {sorted(missing)}"
 
     def test_loads_json_and_rejects_unknown_fields(self):
         targets = load_slo_config(

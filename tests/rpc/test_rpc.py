@@ -8,6 +8,7 @@ import pytest
 
 from repro.rpc import (
     BadRequest,
+    EventLoopServer,
     Int,
     Interface,
     LAN_1987,
@@ -18,7 +19,6 @@ from repro.rpc import (
     RpcClient,
     RpcServer,
     Str,
-    TcpServerThread,
     TcpTransport,
     TransportError,
     Void,
@@ -172,7 +172,7 @@ class TestLoopbackTiming:
 
 class TestTcp:
     def test_call_over_tcp(self, calc_interface, server):
-        with TcpServerThread(server) as srv:
+        with EventLoopServer(server) as srv:
             transport = TcpTransport(srv.host, srv.port)
             try:
                 proxy = connect(calc_interface, transport)
@@ -184,7 +184,7 @@ class TestTcp:
                 transport.close()
 
     def test_concurrent_clients(self, calc_interface, server):
-        with TcpServerThread(server) as srv:
+        with EventLoopServer(server) as srv:
             results = []
             errors = []
 

@@ -1,9 +1,5 @@
 """TCP transport and server robustness: reconnects, malformed frames,
-clean shutdown without thread leaks.
-
-The whole suite is parametrized over both TCP front ends — the legacy
-thread-per-connection :class:`TcpServerThread` and the event-driven
-:class:`EventLoopServer` — so they provably honour the same contract.
+clean shutdown without thread leaks, through :class:`EventLoopServer`.
 """
 
 from __future__ import annotations
@@ -24,27 +20,12 @@ from repro.rpc import (
     NO_RETRY,
     RpcClient,
     RpcServer,
-    TcpServerThread,
     TcpTransport,
     TransportClosed,
     TransportError,
 )
 from repro.rpc.interface import encode_request
 from repro.sim import SimClock
-
-SERVER_MODELS = ("threaded", "eventloop")
-
-
-def start_server(server, model, **kw):
-    """One running TCP front end of the requested model."""
-    front_type = TcpServerThread if model == "threaded" else EventLoopServer
-    return front_type(server, **kw).start()
-
-
-@pytest.fixture(params=SERVER_MODELS)
-def server_model(request) -> str:
-    return request.param
-
 
 @pytest.fixture
 def echo_interface() -> Interface:
@@ -72,9 +53,9 @@ def make_client(echo_interface, transport):
 
 class TestLazyReconnect:
     def test_failed_call_marks_dead_then_reconnects(
-        self, echo_interface, server, server_model
+        self, echo_interface, server
     ):
-        srv = start_server(server, server_model)
+        srv = EventLoopServer(server).start()
         port = srv.port
         transport = TcpTransport(srv.host, port)
         client = make_client(echo_interface, transport)
@@ -85,7 +66,7 @@ class TestLazyReconnect:
                 client.call("double", 1)
             assert not transport.connected  # dead, not bricked
             # a new server appears on the same port; the transport heals
-            srv2 = start_server(server, server_model, port=port)
+            srv2 = EventLoopServer(server, port=port).start()
             try:
                 assert client.call("double", 2) == 4
                 assert transport.connected
@@ -95,10 +76,10 @@ class TestLazyReconnect:
             transport.close()
 
     def test_repeated_failures_keep_raising_cleanly(
-        self, echo_interface, server, server_model
+        self, echo_interface, server
     ):
         """The seed bug: one OSError bricked the transport forever."""
-        srv = start_server(server, server_model)
+        srv = EventLoopServer(server).start()
         transport = TcpTransport(srv.host, srv.port)
         client = make_client(echo_interface, transport)
         srv.stop()
@@ -111,9 +92,9 @@ class TestLazyReconnect:
             transport.close()
 
     def test_use_after_close_is_a_distinct_error(
-        self, echo_interface, server, server_model
+        self, echo_interface, server
     ):
-        with start_server(server, server_model) as srv:
+        with EventLoopServer(server) as srv:
             transport = TcpTransport(srv.host, srv.port)
             transport.close()
             assert transport.closed
@@ -129,18 +110,15 @@ class TestLazyReconnect:
 
 class TestNoDelay:
     def test_both_ends_of_a_connection_disable_nagle(
-        self, echo_interface, server, server_model
+        self, echo_interface, server
     ):
         """A pipelined small frame must not wait behind Nagle + delayed ACK."""
-        srv = start_server(server, server_model)
+        srv = EventLoopServer(server).start()
         transport = TcpTransport(srv.host, srv.port)
         try:
             # one round trip, so the server has certainly accepted
             assert make_client(echo_interface, transport).call("double", 4) == 8
-            if server_model == "eventloop":
-                (accepted,) = [conn.sock for conn in srv._connections.values()]
-            else:
-                (accepted,) = srv._connections
+            (accepted,) = [conn.sock for conn in srv._connections.values()]
             for sock in (transport._sock, accepted):
                 assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
         finally:
@@ -153,9 +131,9 @@ class TestMalformedFrames:
         return socket.create_connection((srv.host, srv.port), timeout=5)
 
     def test_garbage_length_prefix_drops_only_that_connection(
-        self, echo_interface, server, server_model
+        self, echo_interface, server
     ):
-        with start_server(server, server_model) as srv:
+        with EventLoopServer(server) as srv:
             evil = self._raw_connection(srv)
             evil.sendall(struct.pack(">I", 2**31 - 1) + b"junk")
             try:
@@ -173,9 +151,9 @@ class TestMalformedFrames:
                 transport.close()
 
     def test_truncated_frame_is_quiet_disconnect(
-        self, echo_interface, server, server_model
+        self, echo_interface, server
     ):
-        with start_server(server, server_model) as srv:
+        with EventLoopServer(server) as srv:
             half = self._raw_connection(srv)
             half.sendall(struct.pack(">I", 100) + b"only ten b")
             half.close()  # mid-frame
@@ -187,7 +165,7 @@ class TestMalformedFrames:
                 transport.close()
 
     def test_concurrent_bad_frames_count_atomically(
-        self, echo_interface, server, server_model
+        self, echo_interface, server
     ):
         """Regression test for the racy ``connection_errors += 1``.
 
@@ -196,7 +174,7 @@ class TestMalformedFrames:
         registry-backed counter must reach exactly 32.
         """
         attackers = 32
-        with start_server(server, server_model) as srv:
+        with EventLoopServer(server) as srv:
             barrier = threading.Barrier(attackers)
 
             def attack():
@@ -235,7 +213,7 @@ class TestMalformedFrames:
 
 class TestListenerFailure:
     def test_accept_loop_death_is_loud(
-        self, echo_interface, server, server_model
+        self, echo_interface, server
     ):
         """Regression test: a dying accept loop must not be silent.
 
@@ -244,7 +222,7 @@ class TestListenerFailure:
         must flag it, count it, and leave a flight-recorder event.
         """
         flight = FlightRecorder()
-        srv = start_server(server, server_model, flight=flight)
+        srv = EventLoopServer(server, flight=flight).start()
         try:
             assert not srv.listener_failed
             # The failure, injected.  shutdown() before close(): closing
@@ -262,12 +240,12 @@ class TestListenerFailure:
             assert int(counter.value) == 1
             events = flight.events("rpc_listener_failed")
             assert len(events) == 1
-            assert events[0]["fields"]["server_model"] == server_model
+            assert set(events[0]["fields"]) == {"host", "port", "error"}
         finally:
             srv.stop()
 
-    def test_clean_stop_is_not_a_failure(self, server, server_model):
-        srv = start_server(server, server_model)
+    def test_clean_stop_is_not_a_failure(self, server):
+        srv = EventLoopServer(server).start()
         srv.stop()
         assert not srv.listener_failed
         counter = server.registry.get("rpc_server_listener_failures_total")
@@ -276,12 +254,12 @@ class TestListenerFailure:
 
 class TestDispatchBug:
     def test_raising_dispatch_is_a_flight_event_and_a_close(
-        self, echo_interface, server, server_model, monkeypatch
+        self, echo_interface, server, monkeypatch
     ):
         """dispatch() answers bad input with error frames, so a raise is a
         server bug: it must reach the flight recorder, not vanish."""
         flight = FlightRecorder()
-        with start_server(server, server_model, flight=flight) as srv:
+        with EventLoopServer(server, flight=flight) as srv:
 
             def boom(request):
                 raise RuntimeError("dispatch bug")
@@ -301,7 +279,7 @@ class TestDispatchBug:
 
 class TestAtMostOnceOverTcp:
     def test_duplicate_retransmission_executes_once(
-        self, echo_interface, server_model
+        self, echo_interface
     ):
         """The reply cache works through a real TCP front end: a
         byte-identical retransmission is answered from the cache."""
@@ -321,7 +299,7 @@ class TestAtMostOnceOverTcp:
             echo_interface, "double", (8,), client_id="tcp-amo", seq=1
         )
         frame = struct.pack(">I", len(request)) + request
-        with start_server(rpc, server_model) as srv:
+        with EventLoopServer(rpc) as srv:
             sock = socket.create_connection((srv.host, srv.port), timeout=5)
             try:
                 replies = []
@@ -338,10 +316,10 @@ class TestAtMostOnceOverTcp:
 
 class TestCleanStop:
     def test_stop_joins_every_thread(
-        self, echo_interface, server, server_model
+        self, echo_interface, server
     ):
         before = set(threading.enumerate())
-        srv = start_server(server, server_model)
+        srv = EventLoopServer(server).start()
         transports = [TcpTransport(srv.host, srv.port) for _ in range(3)]
         try:
             for n, transport in enumerate(transports):
@@ -360,8 +338,8 @@ class TestCleanStop:
             for transport in transports:
                 transport.close()
 
-    def test_stop_is_idempotent(self, server, server_model):
-        srv = start_server(server, server_model)
+    def test_stop_is_idempotent(self, server):
+        srv = EventLoopServer(server).start()
         srv.stop()
         srv.stop()
 
