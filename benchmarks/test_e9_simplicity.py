@@ -261,6 +261,32 @@ def test_e9_one_failover_client_one_front_end(benchmark, report):
     )
 
 
+def test_e9_one_retention_step(benchmark, report):
+    """ROADMAP item 1, structurally: retention of superseded files (the
+    delete, the audit archive, the rename) is one function that runs
+    after the commit point, at a checkpoint and at a restart, with no
+    ``Database`` subclass or pre-commit hook beside it."""
+    tree = once(benchmark, lambda: _read_tree(_SRC))
+    for gone in (
+        "_before_log_reset",
+        "MirroringDatabase",
+        "ArchivingDatabase",
+        "restore_from_mirror",
+        "cleanup_after_restart",
+    ):
+        assert gone not in tree, f"src/repro still names {gone}"
+    steps = tree.count("def finalize_switch")
+    assert steps == 1, f"src/repro has def finalize_switch {steps}x"
+    report(
+        "E9f one retention step",
+        [
+            f"src/repro: def finalize_switch x{steps}; _before_log_reset, "
+            "ArchivingDatabase, MirroringDatabase, restore_from_mirror, "
+            "cleanup_after_restart x0"
+        ],
+    )
+
+
 def test_e9_stub_generation_is_automatic(benchmark, report):
     """The paper's stubs were compiler-generated; ours are generated at
     run time — zero hand-written marshalling lines in the name server."""

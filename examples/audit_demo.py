@@ -9,7 +9,7 @@ at an earlier point in time.  Finishes with the fsck/dump operator tools.
 
 import io
 
-from repro.core import ArchivingDatabase, AuditReader, OperationRegistry
+from repro.core import AuditReader, Database, OperationRegistry
 from repro.sim import SimClock
 from repro.storage import SimFS
 from repro.tools import dump_directory, fsck_directory
@@ -29,7 +29,7 @@ def op_del(root, key):
 
 def main() -> None:
     fs = SimFS(clock=SimClock())
-    db = ArchivingDatabase(fs, initial=dict, operations=ops)
+    db = Database(fs, initial=dict, operations=ops, archive_logs=True)
 
     # Three epochs of history.
     db.update("set", "quota/alice", 100)

@@ -1,9 +1,10 @@
 """Network configuration: hosts, addresses and routes, with change audit.
 
 The third of the paper's section-1 examples ("network configuration
-information").  Built on :class:`~repro.core.audit.ArchivingDatabase` so
-every configuration change is permanently attributable — the §4 audit
-trail applied to the database class that most needs one.
+information").  Its database archives every superseded log
+(``archive_logs=True``), so every configuration change is permanently
+attributable — the §4 audit trail applied to the database class that
+most needs one.
 
 Every update carries a ``changed_by`` argument; the audit query
 :meth:`NetConfig.changes` renders the who/what history straight from the
@@ -12,7 +13,8 @@ retained logs.
 
 from __future__ import annotations
 
-from repro.core.audit import ArchivingDatabase, AuditReader
+from repro.core.audit import AuditReader
+from repro.core.database import Database
 from repro.core.errors import PreconditionFailed
 from repro.core.transactions import OperationRegistry
 from repro.storage.interface import FileSystem
@@ -113,8 +115,8 @@ class NetConfig:
 
     def __init__(self, fs: FileSystem, **db_options: object) -> None:
         self.fs = fs
-        self.db = ArchivingDatabase(
-            fs, initial=_fresh_root, operations=NETCONFIG_OPS, **db_options
+        self.db = Database(
+            fs, initial=_fresh_root, operations=NETCONFIG_OPS, archive_logs=True, **db_options
         )
 
     # -- updates (all attributed) ----------------------------------------------

@@ -1,7 +1,6 @@
 """The database core: the paper's main-memory log+checkpoint technique."""
 
 from repro.core.audit import (
-    ArchivingDatabase,
     AuditReader,
     AuditRecord,
     archive_name,
@@ -28,7 +27,6 @@ from repro.core.health import (
     RECOVERING,
     HealthMonitor,
 )
-from repro.core.mirror import MirroringDatabase, restore_from_mirror
 from repro.core.sharding import (
     HASH_SPACE,
     ShardedDatabase,
@@ -70,7 +68,6 @@ from repro.core.transactions import (
 from repro.core.version import (
     CurrentVersion,
     checkpoint_name,
-    cleanup_after_restart,
     commit_new_version,
     complete_versions,
     finalize_switch,
@@ -81,7 +78,6 @@ from repro.core.version import (
 
 __all__ = [
     "AnyOf",
-    "ArchivingDatabase",
     "AuditReader",
     "AuditRecord",
     "CheckpointDaemon",
@@ -96,9 +92,7 @@ __all__ = [
     "HEALTHY",
     "RECOVERING",
     "HealthMonitor",
-    "MirroringDatabase",
     "ShardedDatabase",
-    "restore_from_mirror",
     "archive_name",
     "archived_epochs",
     "backup_database",
@@ -137,7 +131,6 @@ __all__ = [
     "ScanOutcome",
     "UnknownOperation",
     "checkpoint_name",
-    "cleanup_after_restart",
     "commit_new_version",
     "complete_versions",
     "encode_entry",

@@ -7,11 +7,15 @@ The paper, section 4:
     log files form a complete audit trail for the database, and could be
     retained if desired.
 
-This module explores them.  With ``ArchivingDatabase`` (or by passing
-``archive_logs=True`` where supported), a checkpoint *archives* the log
-it supersedes instead of deleting it, under the name ``archive{N}`` —
-``logfileN`` frozen at the moment checkpoint ``N+1`` was cut.  The
-:class:`AuditReader` then iterates the entire update history of the
+This module explores them.  With ``Database(..., archive_logs=True)``
+each checkpoint *archives* the log it supersedes before deleting it,
+under the name ``archive{N}`` — ``logfileN``, frozen once checkpoint
+``N+1`` passed its commit point.  The copy is part of the retention step
+after the commit point (:func:`~repro.core.version.finalize_switch`), so
+a crash before that point leaves no archive of the still-live log, and a
+restart redoes an interrupted copy: every committed update is in exactly
+one epoch of the trail.  Archives are never read by recovery.  The
+:class:`AuditReader` iterates the entire update history of the
 database, across every archived epoch plus the live log, as decoded
 ``(epoch, seq, operation, args, kwargs)`` records.
 """
@@ -22,10 +26,9 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from repro.core.database import Database
 from repro.core.errors import RecoveryError
 from repro.core.log import LogScan
-from repro.core.version import logfile_name
+from repro.core.version import logfile_name, read_current_version
 from repro.pickles import TypeRegistry, pickle_read
 from repro.storage.interface import FileSystem
 
@@ -52,26 +55,6 @@ class AuditRecord:
         return f"[{self.epoch}:{self.seq}] {self.operation}({', '.join(parts)})"
 
 
-class ArchivingDatabase(Database):
-    """A database whose checkpoints retain superseded logs as archives.
-
-    Identical to :class:`Database` except that each checkpoint first
-    copies the log it is about to supersede to ``archive{old_version}``.
-    The copy happens under the update lock (via the ``_before_log_reset``
-    hook), so no committed update can miss the trail, and the live log is
-    untouched until the ordinary atomic switch deletes it — a crash at
-    any point leaves recovery exactly as safe as without archiving (a
-    partial archive is simply overwritten by the next attempt).
-    Archives are never read by recovery; they are pure history.
-    """
-
-    def _before_log_reset(self, old_version: int) -> None:
-        old_log = logfile_name(old_version)
-        if self.fs.exists(old_log):
-            self.fs.write(archive_name(old_version), self.fs.read(old_log))
-            self.fs.fsync(archive_name(old_version))
-
-
 def archived_epochs(fs: FileSystem) -> list[int]:
     """Versions with a retained archive, ascending."""
     found = []
@@ -96,8 +79,6 @@ class AuditReader:
     def epochs(self) -> list[tuple[int, str]]:
         """(epoch, file name) pairs in chronological order."""
         trail = [(epoch, archive_name(epoch)) for epoch in archived_epochs(self.fs)]
-        from repro.core.version import read_current_version
-
         current = read_current_version(self.fs)
         if current is not None:
             trail.append((current.number, logfile_name(current.number)))

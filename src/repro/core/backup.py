@@ -11,8 +11,7 @@ files plus an append-only log:
   proceed throughout, the same availability property checkpoints have;
 * what is copied is the current checkpoint, the *entire* current log and
   the version marker, so the backup is exact as of the moment the lock
-  was held — zero update loss, unlike the cold mirror's
-  one-checkpoint-epoch lag;
+  was held — zero update loss;
 * restoring is just putting the three files in an empty directory and
   opening it.
 

@@ -61,6 +61,7 @@ from repro.obs.tracing import Tracer
 from repro.core.version import (
     NEWVERSION_FILE,
     VERSION_FILE,
+    CurrentVersion,
     checkpoint_name,
     commit_new_version,
     finalize_switch,
@@ -86,6 +87,7 @@ class Database:
         cost_model: CostModel | None = None,
         policy: CheckpointPolicy | None = None,
         keep_versions: int = 1,
+        archive_logs: bool = False,
         pad_log_to_page: bool = True,
         ignore_damaged_log: bool = False,
         paranoid_enquiries: bool = False,
@@ -105,7 +107,9 @@ class Database:
 
         ``keep_versions=2`` retains the previous checkpoint+log pair, the
         paper's optional redundancy against hard errors in the current
-        checkpoint.
+        checkpoint.  ``archive_logs=True`` retains each superseded log as
+        ``archiveN``, the paper's audit trail (read it with
+        :class:`~repro.core.audit.AuditReader`).
 
         ``pad_log_to_page=False`` reproduces the paper's exact log layout,
         in which a torn append can damage the previously committed entry
@@ -151,6 +155,7 @@ FlightRecorder` black box; one on the database's clock is created when
         if keep_versions < 1:
             raise ValueError("keep_versions must be at least 1")
         self.keep_versions = keep_versions
+        self.archive_logs = archive_logs
         self.pad_log_to_page = pad_log_to_page
         self.ignore_damaged_log = ignore_damaged_log
         #: debug mode: verify that enquiries really are read-only by
@@ -190,6 +195,7 @@ FlightRecorder` black box; one on the database's clock is created when
             "checkpoint attempts aborted cleanly before their commit point",
         )
         self._checkpoint_retry_pending = False
+        self._switch_unfinished = False
         self.last_checkpoint_time = self.clock.now()
         self.entries_since_checkpoint = 0
 
@@ -220,6 +226,7 @@ FlightRecorder` black box; one on the database's clock is created when
             self.pickle_registry,
             self.stats,
             keep_versions=self.keep_versions,
+            archive_logs=self.archive_logs,
             ignore_damaged_log=self.ignore_damaged_log,
         )
         if state is None:
@@ -483,8 +490,9 @@ FlightRecorder` black box; one on the database's clock is created when
         stays current (no update is lost — the log keeps growing), a
         retry is scheduled for the next policy trigger, and
         :class:`CheckpointFailed` is raised.  A fault after the commit
-        point is tolerated: the switch is durable via ``newversion`` and
-        a restart completes the tidy-up.
+        point — in the retention step, which deletes superseded files and
+        archives the superseded log — is tolerated: the switch is durable
+        via ``newversion`` and a restart completes the step.
         """
         self._check_writable()
         with self.stats.meter("db.checkpoint") as m, self.lock.update():
@@ -500,17 +508,20 @@ FlightRecorder` black box; one on the database's clock is created when
                     raise DatabaseDegraded(
                         f"checkpoint could not flush staged commits: {exc}"
                     ) from exc
-            self._before_log_reset(self._version)
             new_version = self._version + 1
             payload = pickle_write(self._root, self.pickle_registry)
             self.stats.charge("pickle", len(payload))
             try:
+                if self._switch_unfinished:
+                    source = NEWVERSION_FILE if self.fs.exists(NEWVERSION_FILE) else VERSION_FILE
+                    self._finish_switch(CurrentVersion(self._version, source))
                 write_checkpoint(self.fs, checkpoint_name(new_version), payload)
                 self.fs.create(logfile_name(new_version))
                 self.fs.fsync(logfile_name(new_version))
                 commit_new_version(self.fs, new_version)  # the commit point
             except StorageError as exc:
-                self._abort_checkpoint(new_version)
+                if not self._switch_unfinished:  # else nothing was written yet
+                    self._abort_checkpoint(new_version)
                 self._checkpoint_retry_pending = True
                 self._checkpoint_failures.inc()
                 self.health_monitor.note_fault("checkpoint", exc)
@@ -525,10 +536,10 @@ FlightRecorder` black box; one on the database's clock is created when
                     f"current ({exc})"
                 ) from exc
             try:
-                finalize_switch(self.fs, new_version, self.keep_versions)
+                self._finish_switch(CurrentVersion(new_version, NEWVERSION_FILE))
             except StorageError as exc:
                 # Past the commit point: newversion durably names the new
-                # version, so a restart finishes the tidy-up.
+                # version, and the next checkpoint or restart finishes the step.
                 self.health_monitor.note_fault("finalize_switch", exc)
             self._open_log(new_version)
             self._version = new_version
@@ -540,6 +551,19 @@ FlightRecorder` black box; one on the database's clock is created when
         self.stats.record_checkpoint(elapsed, len(payload))
         self.policy.note_checkpoint(self)
         return new_version
+
+    def _finish_switch(self, current: CurrentVersion) -> None:
+        """Run the retention step after ``current``'s commit point.
+
+        Until it completes, ``newversion`` (if not yet renamed) is the
+        committed pointer to the running version: the next checkpoint
+        finishes the step first — its own commit would find ``newversion``
+        taken — and, should that fail again, must not delete
+        ``newversion`` as a partial file.
+        """
+        self._switch_unfinished = True
+        finalize_switch(self.fs, current, self.keep_versions, self.archive_logs)
+        self._switch_unfinished = False
 
     def _abort_checkpoint(self, new_version: int) -> None:
         """Best-effort removal of a failed switch's partial files.
@@ -736,15 +760,6 @@ FlightRecorder` black box; one on the database's clock is created when
         payload = pickle_write(self._root, self.pickle_registry)
         emergency_snapshot(self.spare_fs, payload, self._version)
 
-    def _before_log_reset(self, old_version: int) -> None:
-        """Hook: runs under the update lock just before a checkpoint
-        supersedes ``logfile{old_version}``.
-
-        The base database does nothing; :class:`~repro.core.audit.\
-        ArchivingDatabase` copies the log to its archive name here, while
-        no update can slip past it.
-        """
-
     # -- introspection ------------------------------------------------------------
 
     @property
@@ -766,9 +781,6 @@ FlightRecorder` black box; one on the database's clock is created when
     def log_size(self) -> int:
         """Bytes currently in the log file."""
         return self._log.size() if self._log is not None else 0
-
-    def log_entry_count(self) -> int:
-        return self.entries_since_checkpoint
 
     def _check_usable(self) -> None:
         if not self._open:

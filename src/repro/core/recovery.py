@@ -32,8 +32,8 @@ from repro.core.transactions import OperationRegistry
 from repro.core.version import (
     CurrentVersion,
     checkpoint_name,
-    cleanup_after_restart,
     complete_versions,
+    finalize_switch,
     logfile_name,
     read_current_version,
 )
@@ -68,6 +68,7 @@ def recover(
     registry: TypeRegistry,
     stats: DatabaseStats,
     keep_versions: int = 1,
+    archive_logs: bool = False,
     ignore_damaged_log: bool = False,
 ) -> RecoveredState | None:
     """Run the restart sequence; ``None`` means no committed state exists.
@@ -75,6 +76,11 @@ def recover(
     Raises :class:`RecoveryError` when a state exists but cannot be
     reconstructed locally (the paper's answer at that point is "restore
     from a replica" — see :mod:`repro.nameserver.replication`).
+
+    Before loading anything it runs the retention step that ends every
+    checkpoint (:func:`~repro.core.version.finalize_switch`), which
+    completes whatever a crash interrupted: a switch, a delete or an
+    archive copy.
 
     ``stats`` is the database's instrumentation (``registry`` is the
     *pickle* type registry): recovery runs on its clock and charges the
@@ -89,7 +95,7 @@ def recover(
     current = read_current_version(fs)
     if current is None:
         return None
-    cleanup_after_restart(fs, current, keep_versions)
+    finalize_switch(fs, current, keep_versions, archive_logs)
     watch_start = stats.clock.now()
 
     used_previous = False

@@ -423,11 +423,6 @@ class DatabaseStats:
     def record_relaxed_updates(self, count: int = 1) -> None:
         self._relaxed_updates.inc(count)
 
-    def mean_commit_batch(self) -> float:
-        """Average entries per commit fsync (0.0 before any fsync)."""
-        with self._lock:
-            return self._mean_commit_batch_locked()
-
     def record_checkpoint(self, seconds: float, nbytes: int) -> None:
         with self._lock:
             self._checkpoints.inc()
@@ -456,6 +451,8 @@ class DatabaseStats:
 
     def snapshot(self) -> dict[str, object]:
         with self._lock:
+            histogram = self.commit_batch_histogram
+            fsyncs = sum(histogram.values())
             return {
                 "enquiries": self.enquiries,
                 "updates": self.updates,
@@ -470,17 +467,13 @@ class DatabaseStats:
                 "last_checkpoint_seconds": self.last_checkpoint_seconds,
                 "last_restart_seconds": self.last_restart_seconds,
                 "log_fsyncs": self.log_fsyncs,
-                "commit_batch_histogram": self.commit_batch_histogram,
+                "commit_batch_histogram": histogram,
                 "max_commit_batch": self.max_commit_batch,
-                "mean_commit_batch": self._mean_commit_batch_locked(),
+                "mean_commit_batch": (
+                    sum(s * n for s, n in histogram.items()) / fsyncs if fsyncs else 0.0
+                ),
                 "commit_wait_seconds": self.commit_wait_seconds,
                 "last_commit_wait_seconds": self.last_commit_wait_seconds,
                 "relaxed_updates": self.relaxed_updates,
                 "last_update": self.last_update.as_dict(),
             }
-
-    def _mean_commit_batch_locked(self) -> float:
-        histogram = self.commit_batch_histogram
-        total = sum(s * n for s, n in histogram.items())
-        fsyncs = sum(histogram.values())
-        return total / fsyncs if fsyncs else 0.0

@@ -20,7 +20,10 @@ This is a faithful implementation of the paper's section-3 recipe:
 With ``keep_versions > 1`` the switch retains older checkpoint/log pairs,
 the paper's hard-error redundancy option: "recovery from a hard error in
 the checkpoint could be achieved by keeping one previous checkpoint and
-log".
+log".  With ``archive_logs`` it first copies each superseded log to
+``archiveN``, the paper's other option: "the log files form a complete
+audit trail for the database, and could be retained if desired".  Both
+happen in :func:`finalize_switch`, after the commit point.
 """
 
 from __future__ import annotations
@@ -115,60 +118,49 @@ def commit_new_version(fs: FileSystem, version: int) -> None:
     fs.fsync(NEWVERSION_FILE)
 
 
-def finalize_switch(fs: FileSystem, version: int, keep_versions: int = 1) -> None:
-    """The post-commit tidy-up: delete superseded files, install ``version``.
+def finalize_switch(
+    fs: FileSystem,
+    current: CurrentVersion,
+    keep_versions: int = 1,
+    archive_logs: bool = False,
+) -> None:
+    """The one retention step after the commit point: at a checkpoint and
+    at every restart.
 
-    Crash-safe at every step: until the rename completes, restarts are
-    served by ``newversion``; afterwards by ``version``.  ``keep_versions``
-    counts how many committed checkpoint/log pairs remain (1 = current
-    only; 2 = current + previous for hard-error redundancy).
+    With ``archive_logs`` the log that ``current`` superseded is first
+    copied to its archive name (:mod:`repro.core.audit`): that log is
+    frozen once the commit point has passed.  Then every numbered file
+    outside the kept set is deleted — ``keep_versions`` counts the
+    committed checkpoint/log pairs that remain (1 = current only; 2 =
+    current + previous for hard-error redundancy) — which also removes a
+    partially written next version.  Last, a switch committed in
+    ``newversion`` is completed by the rename, or a stale ``newversion``
+    is deleted.  Crash-safe at every step: until the rename completes,
+    restarts are served by ``newversion`` and run this step again.
     """
     if keep_versions < 1:
         raise ValueError("keep_versions must be at least 1")
-    keep = _versions_to_keep(fs, version, keep_versions)
+    previous_log = logfile_name(current.number - 1)
+    if archive_logs and fs.exists(previous_log):
+        from repro.core.audit import archive_name  # audit imports this module
+
+        fs.write(archive_name(current.number - 1), fs.read(previous_log))
+        fs.fsync(archive_name(current.number - 1))
+    # The current version plus up to keep_versions - 1 predecessors; only
+    # complete older pairs count as redundancy, never the partial leftovers
+    # of an interrupted checkpoint.
+    keep = {current.number}
+    if keep_versions > 1:
+        older = [v for v in complete_versions(fs) if v < current.number]
+        keep.update(older[-(keep_versions - 1) :])
     for number, kinds in numbered_files(fs).items():
         if number in keep:
             continue
-        for kind in kinds:
-            fs.delete_if_exists(f"{kind}{number}")
-    fs.delete_if_exists(VERSION_FILE)
-    fs.rename(NEWVERSION_FILE, VERSION_FILE)
-    fs.fsync_dir()
-
-
-def cleanup_after_restart(
-    fs: FileSystem, current: CurrentVersion, keep_versions: int = 1
-) -> None:
-    """Delete redundant files left by an interrupted switch.
-
-    If the crash landed between the commit point and the rename, this
-    *completes* the interrupted switch; if it landed before the commit
-    point, it deletes the partially written next version.
-    """
-    keep = _versions_to_keep(fs, current.number, keep_versions)
-    for number, kinds in numbered_files(fs).items():
-        if number in keep:
-            continue
-        for kind in kinds:
+        for kind in sorted(kinds):
             fs.delete_if_exists(f"{kind}{number}")
     if current.source == NEWVERSION_FILE:
-        # Crash after commit, before rename: finish the job.
         fs.delete_if_exists(VERSION_FILE)
         fs.rename(NEWVERSION_FILE, VERSION_FILE)
     else:
-        # Any surviving newversion is stale or invalid.
         fs.delete_if_exists(NEWVERSION_FILE)
     fs.fsync_dir()
-
-
-def _versions_to_keep(fs: FileSystem, current: int, keep_versions: int) -> set[int]:
-    """The current version plus up to ``keep_versions - 1`` predecessors.
-
-    Only *complete* older pairs count as redundancy; partial leftovers of
-    an interrupted checkpoint are never worth keeping.
-    """
-    keep = {current}
-    if keep_versions > 1:
-        older = [v for v in complete_versions(fs) if v < current]
-        keep.update(older[-(keep_versions - 1) :])
-    return keep

@@ -70,6 +70,7 @@ from repro.core.checkpoint import CheckpointDamaged, read_checkpoint
 from repro.core.log import LogScan, LogWriter
 from repro.core.version import (
     NEWVERSION_FILE,
+    CurrentVersion,
     checkpoint_name,
     commit_new_version,
     finalize_switch,
@@ -577,7 +578,7 @@ class ReplicaRecoverer:
             self.fs.delete_if_exists(NEWVERSION_FILE)
             commit_new_version(self.fs, plan.target_version)  # THE commit
             finalize_switch(
-                self.fs, plan.target_version, self.keep_versions
+                self.fs, CurrentVersion(plan.target_version, NEWVERSION_FILE), self.keep_versions
             )
         self.fs.delete_if_exists(RECOVERY_STATE_FILE)
         self.fs.fsync_dir()

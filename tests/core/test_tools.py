@@ -6,7 +6,7 @@ import io
 
 import pytest
 
-from repro.core import ArchivingDatabase, Database
+from repro.core import Database
 from repro.storage import LocalFS, SimFS
 from repro.tools import dump_directory, fsck_directory
 from repro.tools.dump import main as dump_main
@@ -58,7 +58,7 @@ class TestDump:
         assert "… 25 more entries" in text
 
     def test_dump_shows_archives(self, fs, kv_ops):
-        db = ArchivingDatabase(fs, initial=dict, operations=kv_ops)
+        db = Database(fs, initial=dict, operations=kv_ops, archive_logs=True)
         db.update("set", "a", 1)
         db.checkpoint()
         text = self._dump(fs)
@@ -138,7 +138,7 @@ class TestFsck:
         assert any("older version" in n for n in report.notes)
 
     def test_archives_are_checked(self, fs, kv_ops):
-        db = ArchivingDatabase(fs, initial=dict, operations=kv_ops)
+        db = Database(fs, initial=dict, operations=kv_ops, archive_logs=True)
         db.update("set", "a", "x" * 600)
         db.checkpoint()
         fs.crash()

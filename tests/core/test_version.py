@@ -7,7 +7,6 @@ import pytest
 from repro.core.version import (
     CurrentVersion,
     checkpoint_name,
-    cleanup_after_restart,
     commit_new_version,
     complete_versions,
     finalize_switch,
@@ -107,7 +106,7 @@ class TestSwitch:
         fs.write("version", b"35")
         install_version(fs, 36)
         commit_new_version(fs, 36)
-        finalize_switch(fs, 36, keep_versions=1)
+        finalize_switch(fs, CurrentVersion(36, "newversion"), keep_versions=1)
         assert fs.read("version") == b"36"
         assert not fs.exists("newversion")
         assert not fs.exists("checkpoint35")
@@ -124,7 +123,7 @@ class TestSwitch:
         fs.write("version", b"35")
         install_version(fs, 36)
         commit_new_version(fs, 36)
-        finalize_switch(fs, 36, keep_versions=2)
+        finalize_switch(fs, CurrentVersion(36, "newversion"), keep_versions=2)
         assert fs.exists("checkpoint35")
         assert fs.exists("logfile35")
         assert fs.read("version") == b"36"
@@ -135,12 +134,12 @@ class TestSwitch:
         fs.write("version", b"35")
         install_version(fs, 36)
         commit_new_version(fs, 36)
-        finalize_switch(fs, 36, keep_versions=2)
+        finalize_switch(fs, CurrentVersion(36, "newversion"), keep_versions=2)
         assert complete_versions(fs) == [35, 36]
 
     def test_bad_keep_versions(self, fs):
         with pytest.raises(ValueError):
-            finalize_switch(fs, 1, keep_versions=0)
+            finalize_switch(fs, CurrentVersion(1, "newversion"), keep_versions=0)
 
 
 class TestCleanupAfterRestart:
@@ -152,7 +151,7 @@ class TestCleanupAfterRestart:
         fs.write("newversion", b"36")
         current = read_current_version(fs)
         assert current.source == "newversion"
-        cleanup_after_restart(fs, current)
+        finalize_switch(fs, current)
         assert fs.read("version") == b"36"
         assert not fs.exists("newversion")
         assert not fs.exists("checkpoint35")
@@ -164,7 +163,7 @@ class TestCleanupAfterRestart:
         fs.write("checkpoint36", b"partial checkpoint")
         current = read_current_version(fs)
         assert current.number == 35
-        cleanup_after_restart(fs, current)
+        finalize_switch(fs, current)
         assert not fs.exists("checkpoint36")
         assert fs.exists("checkpoint35")
 
@@ -173,7 +172,7 @@ class TestCleanupAfterRestart:
         fs.write("version", b"35")
         fs.write("newversion", b"junk")
         current = read_current_version(fs)
-        cleanup_after_restart(fs, current)
+        finalize_switch(fs, current)
         assert not fs.exists("newversion")
 
     def test_keeps_previous_pair_when_asked(self, fs):
@@ -181,12 +180,12 @@ class TestCleanupAfterRestart:
         install_version(fs, 35)
         fs.write("version", b"35")
         current = read_current_version(fs)
-        cleanup_after_restart(fs, current, keep_versions=2)
+        finalize_switch(fs, current, keep_versions=2)
         assert complete_versions(fs) == [34, 35]
 
     def test_deletes_previous_pair_by_default(self, fs):
         install_version(fs, 34)
         install_version(fs, 35)
         fs.write("version", b"35")
-        cleanup_after_restart(fs, read_current_version(fs))
+        finalize_switch(fs, read_current_version(fs))
         assert complete_versions(fs) == [35]

@@ -8,7 +8,6 @@ import time
 import pytest
 
 from repro.core import (
-    ArchivingDatabase,
     AuditReader,
     CheckpointDaemon,
     Database,
@@ -28,8 +27,8 @@ def ops(kv_ops) -> OperationRegistry:
 
 class TestArchivingPlusRedundancy:
     def test_archiving_with_kept_previous_checkpoint(self, fs, ops):
-        db = ArchivingDatabase(
-            fs, initial=dict, operations=ops, keep_versions=2
+        db = Database(
+            fs, initial=dict, operations=ops, keep_versions=2, archive_logs=True
         )
         db.update("set", "a", 1)
         db.checkpoint()
@@ -41,16 +40,20 @@ class TestArchivingPlusRedundancy:
         # Damage the current checkpoint: section-4 fallback still works.
         fs.crash()
         fs.corrupt(checkpoint_name(3), 0)
-        recovered = ArchivingDatabase(
-            fs, initial=dict, operations=ops, keep_versions=2
+        recovered = Database(
+            fs, initial=dict, operations=ops, keep_versions=2, archive_logs=True
         )
         assert recovered.enquire(lambda root: dict(root)) == {"a": 1, "b": 2}
         # …and the audit trail still covers the whole history.
         assert AuditReader(fs).count() >= 2
 
     def test_archives_accumulate_under_policy(self, fs, ops):
-        db = ArchivingDatabase(
-            fs, initial=dict, operations=ops, policy=EveryNUpdates(5)
+        db = Database(
+            fs,
+            initial=dict,
+            operations=ops,
+            policy=EveryNUpdates(5),
+            archive_logs=True,
         )
         for i in range(17):
             db.update("set", f"k{i}", i)
@@ -124,7 +127,7 @@ class TestGroupCommitRecovery:
 
 class TestDaemonPlusArchiving:
     def test_daemon_drives_archiving_database(self, fs, ops):
-        db = ArchivingDatabase(fs, initial=dict, operations=ops)
+        db = Database(fs, initial=dict, operations=ops, archive_logs=True)
         with CheckpointDaemon(db, EveryNUpdates(4), poll_interval=0.005):
             for i in range(12):
                 db.update("set", f"k{i}", i)
