@@ -287,6 +287,43 @@ def test_e9_one_retention_step(benchmark, report):
     )
 
 
+def test_e9_one_metrics_endpoint(benchmark, report):
+    """ROADMAP north star 4, structurally: a node and the coordinator
+    serve metrics through one HTTP server and one renderer, cluster
+    rollups estimate quantiles with the node's estimator, and one
+    dial-call-close helper serves each package."""
+    obs, cluster, tree = once(
+        benchmark,
+        lambda: (
+            _read_tree(os.path.join(_SRC, "obs")),
+            _read_tree(os.path.join(_SRC, "cluster")),
+            _read_tree(_SRC),
+        ),
+    )
+    counts = {
+        "src/repro: ThreadingHTTPServer(": tree.count("ThreadingHTTPServer("),
+        "obs/: def _close_quietly": obs.count("def _close_quietly"),
+        "cluster/: def _close_quietly": cluster.count("def _close_quietly"),
+    }
+    for token, count in counts.items():
+        assert count == 1, f"{token} occurs {count}x"
+    gone = (
+        "ClusterMetricsExporter",
+        "snapshot_to_prometheus",
+        "quantile_from_buckets",
+        "_cum_at",
+    )
+    for name in gone:
+        assert name not in tree, f"src/repro still names {name}"
+    report(
+        "E9g one metrics endpoint",
+        [
+            ", ".join(f"{token} x{count}" for token, count in counts.items()),
+            "src/repro: " + ", ".join(gone) + " x0",
+        ],
+    )
+
+
 def test_e9_stub_generation_is_automatic(benchmark, report):
     """The paper's stubs were compiler-generated; ours are generated at
     run time — zero hand-written marshalling lines in the name server."""

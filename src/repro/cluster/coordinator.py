@@ -38,6 +38,7 @@ from repro.cluster.quorum import (
     SHARDMAP_STAGING_FILE,
     as_store,
 )
+from repro.cluster.router import _close_quietly
 from repro.cluster.shard import RemoteShard
 from repro.cluster.shardmap import ShardMap
 from repro.obs.aggregate import MetricsAggregator
@@ -494,15 +495,6 @@ class Coordinator:
             return False
         self.store.clear_migration()
         return True
-
-
-def _close_quietly(client) -> None:
-    close = getattr(client, "close", None)
-    if close is not None:
-        try:
-            close()
-        except Exception:
-            pass
 
 
 #: the coordinator's own RPC surface (exported by the cluster supervisor)

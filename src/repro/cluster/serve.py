@@ -41,7 +41,8 @@ from repro.cluster.coordinator import (
     Coordinator,
 )
 from repro.cluster.router import ShardRouter
-from repro.obs.aggregate import ClusterMetricsExporter
+from repro.obs.aggregate import cluster_routes
+from repro.obs.export import MetricsExporter
 from repro.obs.flight import BLACKBOX_FILE, FLIGHT_FORMAT, FlightRecorder
 from repro.rpc import EventLoopServer, RpcServer
 from repro.storage.localfs import LocalFS
@@ -225,15 +226,13 @@ class ClusterSupervisor:
         self.listener = EventLoopServer(self.rpc, host=host, port=port).start()
 
         #: optional HTTP endpoint serving ``/cluster/metrics`` rollups
-        self.metrics_exporter: ClusterMetricsExporter | None = None
+        self.metrics_exporter: MetricsExporter | None = None
         if metrics_port is not None:
-            self.metrics_exporter = ClusterMetricsExporter(
-                self.coordinator.aggregator,
+            self.metrics_exporter = MetricsExporter(
+                cluster_routes(self.coordinator.aggregator, self.coordinator.cluster_slo),
                 host=host,
                 port=metrics_port,
-                slo_status=self.coordinator.cluster_slo,
-            )
-            self.metrics_exporter.start()
+            ).start()
 
     # -- assembly ----------------------------------------------------------------
 

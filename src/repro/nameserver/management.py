@@ -167,7 +167,7 @@ class ManagementService:
 
     def metrics_text(self) -> str:
         """The node's full metrics registry in Prometheus text format."""
-        return to_prometheus(self.server.db.registry)
+        return to_prometheus(self.server.db.registry.snapshot())
 
     def metrics(self) -> dict:
         """The registry snapshot as a structure (counters, histograms…)."""

@@ -34,6 +34,7 @@ from repro.obs import (
     SamplingProfiler,
     SlowOpLog,
     Tracer,
+    node_routes,
 )
 from repro.rpc import EventLoopServer, RpcServer, TcpTransport
 from repro.storage.localfs import LocalFS
@@ -163,12 +164,9 @@ class Node:
         self.metrics_exporter: MetricsExporter | None = None
         if options.metrics_port is not None:
             self.metrics_exporter = MetricsExporter(
-                self.registry,
-                tracer=self.tracer,
-                slow_log=self.slow_log,
+                node_routes(self.registry, self.tracer, self.slow_log, self.profiler),
                 host=options.host,
                 port=options.metrics_port,
-                profiler=self.profiler,
             ).start()
 
         self._stop = threading.Event()

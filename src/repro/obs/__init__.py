@@ -11,11 +11,10 @@ trace-header format and the postmortem runbook.
 """
 
 from repro.obs.aggregate import (
-    ClusterMetricsExporter,
     MetricsAggregator,
+    cluster_routes,
     merge_snapshots,
     rollup,
-    snapshot_to_prometheus,
 )
 from repro.obs.collect import ClusterTraceCollector, critical_path, stage_of
 from repro.obs.flight import (
@@ -36,6 +35,7 @@ from repro.obs.export import (
     MetricsExporter,
     SlowOpLog,
     merge_trees,
+    node_routes,
     to_json,
     to_prometheus,
     trace_payload,
@@ -63,7 +63,6 @@ from repro.obs.tracing import (
 
 __all__ = [
     "BLACKBOX_FILE",
-    "ClusterMetricsExporter",
     "ClusterTraceCollector",
     "DEFAULT_BUCKETS",
     "FLIGHT_FORMAT",
@@ -84,6 +83,7 @@ __all__ = [
     "Tracer",
     "build_tree",
     "child_span",
+    "cluster_routes",
     "critical_path",
     "current_span",
     "default_slo_targets",
@@ -95,8 +95,8 @@ __all__ = [
     "merge_snapshots",
     "merge_trees",
     "metric",
+    "node_routes",
     "rollup",
-    "snapshot_to_prometheus",
     "span_names",
     "stage_of",
     "to_json",

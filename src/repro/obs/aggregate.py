@@ -15,11 +15,10 @@ of those snapshots into cluster-level series:
 * :class:`MetricsAggregator` — scrape all replicas (via the injectable
   management factory), producing ``per_replica`` / ``per_shard`` /
   ``cluster`` snapshots from one consistent sweep;
-* :class:`ClusterMetricsExporter` — the coordinator's stdlib HTTP
-  endpoint serving ``/cluster/metrics`` (Prometheus text) and
-  ``/cluster/metrics.json`` (plus ``/cluster/slo.json`` when an SLO
-  monitor is wired), with the same deterministic bind/start/stop
-  lifecycle as the per-node :class:`~repro.obs.export.MetricsExporter`.
+* :func:`cluster_routes` — the coordinator's routes for the one
+  :class:`~repro.obs.export.MetricsExporter`: ``/cluster/metrics``
+  (Prometheus text) and ``/cluster/metrics.json`` (plus
+  ``/cluster/slo.json`` when an SLO monitor is wired).
 
 All outputs use the registry ``snapshot()`` schema, so every existing
 renderer (``top``, the shell) works on them unchanged.
@@ -28,15 +27,15 @@ renderer (``top``, the shell) works on them unchanged.
 from __future__ import annotations
 
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+from repro.obs.export import JSON_TYPE, PROMETHEUS_TYPE, to_prometheus
+from repro.obs.metrics import bucket_quantile, cumulative_at
 
 __all__ = [
-    "ClusterMetricsExporter",
     "MetricsAggregator",
+    "cluster_routes",
     "merge_snapshots",
     "rollup",
-    "snapshot_to_prometheus",
 ]
 
 
@@ -118,17 +117,6 @@ def rollup(snapshot: dict, drop: tuple[str, ...] = ("replica",)) -> dict:
     return out
 
 
-def _cum_at(buckets: list, bound: float) -> float:
-    """A cumulative-bucket step function's value at ``bound``."""
-    best = 0.0
-    for b, count in buckets:
-        if float(b) <= bound:
-            best = float(count)
-        else:
-            break
-    return best
-
-
 def _merge_histograms(members: list[dict]) -> dict:
     bounds: set[float] = set()
     for member in members:
@@ -136,7 +124,7 @@ def _merge_histograms(members: list[dict]) -> dict:
             bounds.add(float(b))
     ordered = sorted(bounds)
     merged = [
-        [b, sum(_cum_at(m.get("buckets") or [], b) for m in members)]
+        [b, sum(cumulative_at(m.get("buckets") or [], b) for m in members)]
         for b in ordered
     ]
     count = sum(int(m.get("count", 0)) for m in members)
@@ -145,80 +133,11 @@ def _merge_histograms(members: list[dict]) -> dict:
         "count": count,
         "sum": total,
         "mean": total / count if count else 0.0,
-        "p50": quantile_from_buckets(merged, 0.50),
-        "p90": quantile_from_buckets(merged, 0.90),
-        "p99": quantile_from_buckets(merged, 0.99),
+        "p50": bucket_quantile(merged, 0.50),
+        "p90": bucket_quantile(merged, 0.90),
+        "p99": bucket_quantile(merged, 0.99),
         "buckets": merged,
     }
-
-
-def quantile_from_buckets(buckets: list, q: float) -> float:
-    """Estimate a quantile from cumulative ``[bound, count]`` buckets.
-
-    Linear interpolation within the bucket containing the rank; the
-    +Inf bucket reports its lower bound (no max is carried across the
-    wire).  Empty histograms report 0.0.
-    """
-    if not buckets:
-        return 0.0
-    total = float(buckets[-1][1])
-    if total <= 0:
-        return 0.0
-    rank = q * total
-    prev_bound, prev_cum = 0.0, 0.0
-    for bound, cum in buckets:
-        bound, cum = float(bound), float(cum)
-        if cum >= rank and cum > prev_cum:
-            if bound == float("inf"):
-                return prev_bound
-            within = (rank - prev_cum) / (cum - prev_cum)
-            return prev_bound + (bound - prev_bound) * within
-        prev_bound, prev_cum = bound, cum
-    return prev_bound
-
-
-def snapshot_to_prometheus(snapshot: dict) -> str:
-    """Render a snapshot-schema dict in Prometheus text format.
-
-    The snapshot twin of :func:`repro.obs.export.to_prometheus`, used
-    for merged cluster snapshots (which exist only as dicts — there is
-    no cluster-wide registry object).
-    """
-    from repro.obs.export import _format_labels, _format_value
-
-    lines: list[str] = []
-    for name in sorted(snapshot):
-        family = snapshot[name]
-        lines.append(f"# HELP {name} {family.get('help', '')}")
-        lines.append(f"# TYPE {name} {family['kind']}")
-        for series in family["series"]:
-            labels = series.get("labels") or {}
-            names = tuple(sorted(labels))
-            values = tuple(labels[k] for k in names)
-            if family["kind"] == "histogram":
-                for bound, count in series.get("buckets") or []:
-                    text = _format_labels(
-                        names, values,
-                        extra=(("le", _format_value(float(bound))),),
-                    )
-                    lines.append(
-                        f"{name}_bucket{text} {_format_value(float(count))}"
-                    )
-                text = _format_labels(names, values)
-                lines.append(
-                    f"{name}_sum{text} "
-                    f"{_format_value(float(series.get('sum', 0.0)))}"
-                )
-                lines.append(
-                    f"{name}_count{text} {int(series.get('count', 0))}"
-                )
-            else:
-                text = _format_labels(names, values)
-                lines.append(
-                    f"{name}{text} "
-                    f"{_format_value(float(series.get('value', 0.0)))}"
-                )
-    return "\n".join(lines) + "\n"
 
 
 class MetricsAggregator:
@@ -249,18 +168,16 @@ class MetricsAggregator:
         snapshots: dict[str, dict] = {}
         node_labels: dict[str, dict] = {}
         nodes: dict[str, dict] = {}
-        for replica_id, shard_id, address in self.targets():
+        for (replica_id, shard_id, address), snapshot, error in dial_each(
+            self.targets(), self.management_factory, lambda mgmt: mgmt.metrics()
+        ):
             info: dict = {"shard": shard_id, "address": address}
-            try:
-                mgmt = self.management_factory(address)
-                try:
-                    snapshots[replica_id] = mgmt.metrics()
-                finally:
-                    _close_quietly(mgmt)
+            if error is None:
+                snapshots[replica_id] = snapshot
                 info["reachable"] = True
-            except Exception as exc:
+            else:
                 info["reachable"] = False
-                info["error"] = f"{exc}"
+                info["error"] = error
                 self.unreachable += 1
             node_labels[replica_id] = {"shard": shard_id}
             nodes[replica_id] = info
@@ -282,132 +199,66 @@ class MetricsAggregator:
         """
         if scrape is None:
             scrape = self.scrape()
-        combined: dict[str, dict] = {}
-        for name, family in scrape["per_shard"].items():
-            combined[name] = {
-                "kind": family["kind"],
-                "help": family.get("help", ""),
-                "series": list(family["series"]),
-            }
+        combined = {
+            name: dict(family, series=list(family["series"]))
+            for name, family in scrape["per_shard"].items()
+        }
         for name, family in scrape["cluster"].items():
-            combined.setdefault(
-                name,
-                {"kind": family["kind"], "help": family.get("help", ""),
-                 "series": []},
-            )["series"].extend(family["series"])
-        return snapshot_to_prometheus(combined)
+            combined.setdefault(name, dict(family, series=[]))["series"].extend(
+                family["series"]
+            )
+        return to_prometheus(combined)
 
 
-class _ClusterMetricsHandler(BaseHTTPRequestHandler):
-    server_version = "repro-obs-cluster/1"
+def cluster_routes(aggregator: MetricsAggregator, slo_status=None) -> dict:
+    """The coordinator's HTTP routes for the one metrics exporter.
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        exporter: ClusterMetricsExporter = self.server.exporter  # type: ignore[attr-defined]
-        path = self.path.split("?", 1)[0]
-        try:
-            if path in ("/cluster/metrics", "/metrics", "/"):
-                body = exporter.aggregator.prometheus_text().encode()
-                content_type = "text/plain; version=0.0.4; charset=utf-8"
-            elif path in ("/cluster/metrics.json", "/metrics.json"):
-                body = json.dumps(
-                    exporter.aggregator.scrape(), sort_keys=True
-                ).encode()
-                content_type = "application/json"
-            elif path in ("/cluster/slo.json", "/slo.json") and (
-                exporter.slo_status is not None
-            ):
-                body = json.dumps(
-                    exporter.slo_status(), sort_keys=True
-                ).encode()
-                content_type = "application/json"
-            else:
-                self.send_error(404, "unknown path")
-                return
-        except Exception as exc:  # noqa: BLE001 - a scrape races shutdown
-            self.send_error(503, f"scrape failed: {exc!r}")
-            return
-        self.send_response(200)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, fmt: str, *args: object) -> None:
-        pass  # keep scrapes out of stderr
-
-
-class ClusterMetricsExporter:
-    """The coordinator's HTTP face for aggregated cluster metrics.
-
-    Same lifecycle contract as the per-node exporter: the socket binds
-    at construction (port 0 picks a free one, readable before
-    :meth:`start`), :meth:`stop` joins the thread and closes the socket,
-    and a stopped exporter restarts on the *same* port.
-    ``slo_status`` is an optional zero-argument callable serving
-    ``/cluster/slo.json``.
+    ``/cluster/metrics`` (also ``/metrics`` and ``/``) serves the
+    Prometheus page, ``/cluster/metrics.json`` (also ``/metrics.json``)
+    one whole scrape; ``slo_status``, an optional zero-argument callable,
+    serves ``/cluster/slo.json`` (also ``/slo.json``).
     """
 
-    def __init__(
-        self,
-        aggregator: MetricsAggregator,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        slo_status=None,
-    ) -> None:
-        self.aggregator = aggregator
-        self.slo_status = slo_status
-        self._server: ThreadingHTTPServer | None = self._bind((host, port))
-        self._bound = self._server.server_address[:2]
-        self._thread: threading.Thread | None = None
+    def page():
+        return PROMETHEUS_TYPE, aggregator.prometheus_text()
 
-    def _bind(self, address: tuple[str, int]) -> ThreadingHTTPServer:
-        server = ThreadingHTTPServer(address, _ClusterMetricsHandler)
-        server.daemon_threads = True
-        server.exporter = self  # type: ignore[attr-defined]
-        return server
+    def scrape():
+        return JSON_TYPE, json.dumps(aggregator.scrape(), sort_keys=True)
 
-    @property
-    def host(self) -> str:
-        return self._bound[0]
-
-    @property
-    def port(self) -> int:
-        return self._bound[1]
-
-    def start(self) -> "ClusterMetricsExporter":
-        if self._thread is not None:
-            return self
-        if self._server is None:
-            self._server = self._bind(self._bound)
-            self._bound = self._server.server_address[:2]
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="obs-cluster-http",
-            daemon=True,
+    routes = {
+        "/cluster/metrics": page, "/metrics": page, "/": page,
+        "/cluster/metrics.json": scrape, "/metrics.json": scrape,
+    }
+    if slo_status is not None:
+        routes["/cluster/slo.json"] = routes["/slo.json"] = lambda: (
+            JSON_TYPE, json.dumps(slo_status(), sort_keys=True)
         )
-        self._thread.start()
-        return self
+    return routes
 
-    def stop(self) -> None:
-        if self._thread is not None:
-            self._server.shutdown()
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        if self._server is not None:
-            self._server.server_close()
-            self._server = None
 
-    def __enter__(self) -> "ClusterMetricsExporter":
-        return self.start()
+def dial_each(targets, management_factory, call):
+    """Dial every target's management RPC, ``call`` it once, close it.
 
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
+    ``targets`` holds tuples whose last item is the node's address.
+    Yields ``(target, result, None)`` per reachable node and ``(target,
+    None, error_text)`` per node that could not be dialled or answered:
+    an unreachable node is reported, never fatal to the sweep.
+    """
+    for target in targets:
+        try:
+            mgmt = management_factory(target[-1])
+            try:
+                result = call(mgmt)
+            finally:
+                _close_quietly(mgmt)
+        except Exception as exc:
+            yield target, None, f"{exc}"
+            continue
+        yield target, result, None
 
 
 def _close_quietly(client) -> None:
-    close = getattr(client, "close", None)
-    if close is not None:
-        try:
-            close()
-        except Exception:
-            pass
+    try:
+        client.close()
+    except Exception:
+        pass

@@ -31,6 +31,7 @@ import threading
 from collections import OrderedDict
 from zlib import crc32
 
+from repro.obs.aggregate import dial_each
 from repro.obs.export import merge_trees
 
 __all__ = [
@@ -215,17 +216,12 @@ class ClusterTraceCollector:
         died with it; the tree assembles from the survivors).
         """
         report: dict = {"nodes": {}, "spans": 0, "new_traces": 0}
-        for node_id, address in self.targets():
-            try:
-                mgmt = self.management_factory(address)
-                try:
-                    spans = mgmt.trace_spans("")
-                finally:
-                    _close_quietly(mgmt)
-            except Exception as exc:
-                report["nodes"][node_id] = {
-                    "reachable": False, "error": f"{exc}",
-                }
+        for (node_id, _address), spans, error in dial_each(
+            self.targets(), self.management_factory,
+            lambda mgmt: mgmt.trace_spans(""),
+        ):
+            if error is not None:
+                report["nodes"][node_id] = {"reachable": False, "error": error}
                 continue
             added = self._ingest(node_id, spans)
             report["nodes"][node_id] = {
@@ -305,11 +301,3 @@ class ClusterTraceCollector:
             "critical_path": critical_path(tree),
         }
 
-
-def _close_quietly(client) -> None:
-    close = getattr(client, "close", None)
-    if close is not None:
-        try:
-            close()
-        except Exception:
-            pass

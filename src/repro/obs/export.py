@@ -29,42 +29,38 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
-def _format_labels(labelnames, labelvalues, extra=()) -> str:
-    pairs = [
-        f'{name}="{_escape_label_value(str(value))}"'
-        for name, value in zip(labelnames, labelvalues)
-    ]
-    pairs.extend(f'{name}="{_escape_label_value(str(value))}"' for name, value in extra)
-    return "{" + ",".join(pairs) + "}" if pairs else ""
+def _format_labels(pairs) -> str:
+    text = ",".join(
+        f'{name}="{_escape_label_value(str(value))}"' for name, value in pairs
+    )
+    return "{" + text + "}" if text else ""
 
 
-def to_prometheus(registry: MetricsRegistry) -> str:
-    """The registry in Prometheus text exposition format.
+def to_prometheus(snapshot: dict) -> str:
+    """A ``registry.snapshot()``-schema dict in Prometheus text format.
 
-    Histograms expose the standard cumulative ``_bucket{le=...}`` series
-    plus ``_sum`` and ``_count``; the terminal bucket is ``le="+Inf"``.
+    Families render in name order, labels in the order each series holds
+    them.  Histograms expose the standard cumulative ``_bucket{le=...}``
+    series plus ``_sum`` and ``_count``; the terminal bucket is
+    ``le="+Inf"``.  The node page renders its registry's snapshot, the
+    coordinator its merged cluster rollups — one renderer for both.
     """
     lines: list[str] = []
-    for family in registry.families():
-        lines.append(f"# HELP {family.name} {family.help}")
-        lines.append(f"# TYPE {family.name} {family.kind}")
-        for series in family.series():
-            if family.kind == "histogram":
-                for bound, count in series.bucket_counts():
-                    labels = _format_labels(
-                        family.labelnames,
-                        series.labels,
-                        extra=(("le", _format_value(bound)),),
-                    )
-                    lines.append(f"{family.name}_bucket{labels} {count}")
-                labels = _format_labels(family.labelnames, series.labels)
-                lines.append(f"{family.name}_sum{labels} {_format_value(series.sum)}")
-                lines.append(f"{family.name}_count{labels} {series.count}")
+    for name in sorted(snapshot):
+        family = snapshot[name]
+        lines.append(f"# HELP {name} {family.get('help', '')}")
+        lines.append(f"# TYPE {name} {family['kind']}")
+        for series in family["series"]:
+            labels = list((series.get("labels") or {}).items())
+            text = _format_labels(labels)
+            if family["kind"] == "histogram":
+                for bound, count in series.get("buckets") or []:
+                    le = _format_labels(labels + [("le", _format_value(float(bound)))])
+                    lines.append(f"{name}_bucket{le} {_format_value(float(count))}")
+                lines.append(f"{name}_sum{text} {_format_value(float(series.get('sum', 0.0)))}")
+                lines.append(f"{name}_count{text} {int(series.get('count', 0))}")
             else:
-                labels = _format_labels(family.labelnames, series.labels)
-                lines.append(
-                    f"{family.name}{labels} {_format_value(series.value)}"
-                )
+                lines.append(f"{name}{text} {_format_value(float(series.get('value', 0.0)))}")
     return "\n".join(lines) + "\n"
 
 
@@ -137,38 +133,66 @@ def trace_payload(tracer: Tracer, trace_id: str | None = None) -> list[dict]:
     return [span.to_dict() for span in tracer.finished_spans(trace_id)]
 
 
-class _MetricsHandler(BaseHTTPRequestHandler):
+PROMETHEUS_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+TEXT_TYPE = "text/plain; charset=utf-8"
+JSON_TYPE = "application/json"
+
+
+def node_routes(
+    registry: MetricsRegistry,
+    tracer: Tracer | None = None,
+    slow_log: SlowOpLog | None = None,
+    profiler=None,
+) -> dict:
+    """One node's HTTP routes for :class:`MetricsExporter`.
+
+    ``/metrics`` (also ``/``, Prometheus text) and ``/metrics.json``
+    always; ``/trace`` (latest trace rendered) and ``/trace.json`` (its
+    span dicts) with a tracer; ``/slowops.json`` with a slow-op log;
+    ``/profile`` (collapsed flame stacks) and ``/profile.json`` with a
+    profiler.  A route whose source is absent is left out, so it 404s.
+    """
+
+    def metrics():
+        return PROMETHEUS_TYPE, to_prometheus(registry.snapshot())
+
+    def latest_tree():
+        trace_id = tracer.last_trace_id()
+        return TEXT_TYPE, format_tree(tracer.tree(trace_id) if trace_id else None) + "\n"
+
+    routes = {
+        "/": metrics,
+        "/metrics": metrics,
+        "/metrics.json": lambda: (JSON_TYPE, to_json(registry, indent=2)),
+    }
+    if tracer is not None:
+        routes["/trace"] = latest_tree
+        routes["/trace.json"] = lambda: (JSON_TYPE, json.dumps(trace_payload(tracer)))
+    if slow_log is not None:
+        routes["/slowops.json"] = lambda: (JSON_TYPE, json.dumps(slow_log.entries()))
+    if profiler is not None:
+        routes["/profile"] = lambda: (TEXT_TYPE, profiler.collapsed() + "\n")
+        routes["/profile.json"] = lambda: (JSON_TYPE, json.dumps(profiler.snapshot()))
+    return routes
+
+
+class _RouteHandler(BaseHTTPRequestHandler):
     server_version = "repro-obs/1"
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        exporter: MetricsExporter = self.server.exporter  # type: ignore[attr-defined]
-        path = self.path.split("?", 1)[0]
-        if path in ("/metrics", "/"):
-            body = to_prometheus(exporter.registry).encode()
-            content_type = "text/plain; version=0.0.4; charset=utf-8"
-        elif path == "/metrics.json":
-            body = to_json(exporter.registry, indent=2).encode()
-            content_type = "application/json"
-        elif path == "/trace.json" and exporter.tracer is not None:
-            body = json.dumps(trace_payload(exporter.tracer)).encode()
-            content_type = "application/json"
-        elif path == "/trace" and exporter.tracer is not None:
-            trace_id = exporter.tracer.last_trace_id()
-            tree = exporter.tracer.tree(trace_id) if trace_id else None
-            body = (format_tree(tree) + "\n").encode()
-            content_type = "text/plain; charset=utf-8"
-        elif path == "/slowops.json" and exporter.slow_log is not None:
-            body = json.dumps(exporter.slow_log.entries()).encode()
-            content_type = "application/json"
-        elif path == "/profile" and exporter.profiler is not None:
-            body = (exporter.profiler.collapsed() + "\n").encode()
-            content_type = "text/plain; charset=utf-8"
-        elif path == "/profile.json" and exporter.profiler is not None:
-            body = json.dumps(exporter.profiler.snapshot()).encode()
-            content_type = "application/json"
-        else:
+        routes = self.server.routes  # type: ignore[attr-defined]
+        route = routes.get(self.path.split("?", 1)[0])
+        if route is None:
             self.send_error(404, "unknown path")
             return
+        try:
+            content_type, text = route()
+        except Exception as exc:  # noqa: BLE001 - e.g. a scrape racing shutdown
+            # !a: the reason goes out in the Latin-1 status line, and a
+            # character outside it would drop the reply instead
+            self.send_error(503, f"scrape failed: {exc!a}")
+            return
+        body = text.encode()
         self.send_response(200)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
@@ -180,13 +204,14 @@ class _MetricsHandler(BaseHTTPRequestHandler):
 
 
 class MetricsExporter:
-    """A background HTTP endpoint serving the registry and tracer.
+    """A background HTTP endpoint serving a table of routes.
 
-    Routes: ``/metrics`` (Prometheus text), ``/metrics.json``,
-    ``/trace`` (latest trace rendered), ``/trace.json`` (span dicts),
-    ``/slowops.json``, ``/profile`` (collapsed flame stacks, when a
-    profiler is attached) and ``/profile.json``.  Binds ``host:port``
-    (port 0 picks a free port — read it back from :attr:`port`).
+    ``routes`` maps a path to a zero-argument callable returning
+    ``(content_type, body_text)`` — :func:`node_routes` builds a node's,
+    :func:`repro.obs.aggregate.cluster_routes` the coordinator's.  An
+    unknown path answers 404; a route that raises answers 503 ``scrape
+    failed: ...``.  Binds ``host:port`` (port 0 picks a free port — read
+    it back from :attr:`port`).
 
     The lifecycle is deterministic and reusable: the socket is bound at
     construction (so the port is known before :meth:`start`),
@@ -196,27 +221,17 @@ class MetricsExporter:
     """
 
     def __init__(
-        self,
-        registry: MetricsRegistry,
-        tracer: Tracer | None = None,
-        slow_log: SlowOpLog | None = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        profiler=None,
+        self, routes: dict, host: str = "127.0.0.1", port: int = 0
     ) -> None:
-        self.registry = registry
-        self.tracer = tracer
-        self.slow_log = slow_log
-        self.profiler = profiler
-        self._requested = (host, port)
+        self.routes = routes
         self._server: ThreadingHTTPServer | None = self._bind((host, port))
         self._bound = self._server.server_address[:2]
         self._thread: threading.Thread | None = None
 
     def _bind(self, address: tuple[str, int]) -> ThreadingHTTPServer:
-        server = ThreadingHTTPServer(address, _MetricsHandler)
+        server = ThreadingHTTPServer(address, _RouteHandler)
         server.daemon_threads = True
-        server.exporter = self  # type: ignore[attr-defined]
+        server.routes = self.routes  # type: ignore[attr-defined]
         return server
 
     @property

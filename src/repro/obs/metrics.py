@@ -27,9 +27,11 @@ layers can share one registry without coordination.
 
 from __future__ import annotations
 
+import math
 import re
 import threading
 from bisect import bisect_left
+from itertools import accumulate
 
 from repro.sim.clock import Clock, WallClock
 
@@ -166,37 +168,53 @@ class HistogramSeries(_Series):
         with self._lock:
             if not self._count:
                 return 0.0
-            rank = q * self._count
-            cumulative = 0
-            for index, bucket_count in enumerate(self._counts):
-                cumulative += bucket_count
-                if cumulative >= rank and bucket_count:
-                    lower = self.bounds[index - 1] if index > 0 else 0.0
-                    upper = (
-                        self.bounds[index]
-                        if index < len(self.bounds)
-                        else (self._max if self._max is not None else lower)
-                    )
-                    if self._min is not None:
-                        lower = max(lower, self._min) if index == 0 else lower
-                    if self._max is not None:
-                        upper = min(upper, self._max)
-                    if upper < lower:
-                        upper = lower
-                    within = (rank - (cumulative - bucket_count)) / bucket_count
-                    return lower + (upper - lower) * within
-            return self._max if self._max is not None else 0.0
+            return bucket_quantile(
+                self._cumulative(), q, low=max(0.0, self._min), high=self._max
+            )
 
     def bucket_counts(self) -> list[tuple[float, int]]:
         """Cumulative ``(upper_bound, count)`` pairs, ending at +Inf."""
         with self._lock:
-            out = []
-            cumulative = 0
-            for bound, count in zip(self.bounds, self._counts):
-                cumulative += count
-                out.append((bound, cumulative))
-            out.append((float("inf"), cumulative + self._counts[-1]))
-            return out
+            return self._cumulative()
+
+    def _cumulative(self) -> list[tuple[float, int]]:
+        return list(zip((*self.bounds, math.inf), accumulate(self._counts)))
+
+
+def cumulative_at(buckets, bound: float) -> float:
+    """A cumulative ``[bound, count]`` step function's value at ``bound``."""
+    best = 0.0
+    for b, count in buckets:
+        if float(b) <= bound:
+            best = float(count)
+        else:
+            break
+    return best
+
+
+def bucket_quantile(buckets, q: float, low: float = 0.0, high=None) -> float:
+    """Estimate the ``q`` quantile from cumulative ``[bound, count]`` buckets.
+
+    Linear interpolation within the bucket holding the rank.  ``low`` is
+    the first bucket's lower edge; ``high``, the largest value observed
+    when it is known, caps every upper edge.  Without ``high`` the +Inf
+    bucket reports its lower bound (no max crosses the wire with a
+    snapshot).  Empty buckets report 0.0.
+    """
+    total = float(buckets[-1][1]) if buckets else 0.0
+    if total <= 0:
+        return 0.0
+    rank = q * total
+    lower, below = low, 0.0
+    for bound, cum in buckets:
+        bound, cum = float(bound), float(cum)
+        if cum >= rank and cum > below:
+            if high is None and bound == math.inf:
+                return lower
+            upper = bound if high is None else max(min(bound, high), lower)
+            return lower + (upper - lower) * ((rank - below) / (cum - below))
+        lower, below = bound, cum
+    return lower
 
 
 class _HistogramTimer:
@@ -336,6 +354,8 @@ class MetricsRegistry:
         for label in labelnames:
             if not _LABEL_RE.match(label):
                 raise MetricError(f"invalid label name {label!r}")
+        if len(set(labelnames)) != len(labelnames):
+            raise MetricError(f"duplicate label name in {labelnames!r}")
         with self._lock:
             existing = self._families.get(name)
             if existing is not None:

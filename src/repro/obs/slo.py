@@ -29,6 +29,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.obs.metrics import cumulative_at
 from repro.sim.clock import Clock, WallClock
 
 __all__ = [
@@ -118,9 +119,7 @@ class SloTarget:
             good = total = 0.0
             for series in self._matching(snapshot):
                 total += float(series.get("count", 0))
-                good += _cum_at(
-                    series.get("buckets") or [], self.threshold_s
-                )
+                good += cumulative_at(series.get("buckets") or [], self.threshold_s)
             return good, total
         if self.kind == "error_ratio":
             bad = _sum_values(snapshot, self.bad_metric)
@@ -161,16 +160,6 @@ def _sum_values(snapshot: dict, name: str) -> float:
     return sum(
         float(series.get("value", 0.0)) for series in family["series"]
     )
-
-
-def _cum_at(buckets: list, bound: float) -> float:
-    best = 0.0
-    for b, count in buckets:
-        if float(b) <= bound:
-            best = float(count)
-        else:
-            break
-    return best
 
 
 def default_slo_targets() -> list[SloTarget]:

@@ -10,11 +10,15 @@ two tentpole observability claims against the *running* system:
    containing the client call, the server dispatch, the log append and
    the fsync/commit barrier.
 
+This check and the ``--cluster`` one also fetch every route their HTTP
+endpoint was built with (each must answer 200) and one unknown path (it
+must answer 404).
+
 Run it directly::
 
     PYTHONPATH=src python -m repro.obs.smoke
 
-Exit status 0 means both checks passed; failures print what was missing
+Exit status 0 means every check passed; failures print what was missing
 and exit 1.  No third-party dependencies: the scrape uses urllib.
 """
 
@@ -23,6 +27,7 @@ from __future__ import annotations
 import argparse
 import sys
 import tempfile
+import urllib.error
 import urllib.request
 from typing import TextIO
 
@@ -42,6 +47,12 @@ REQUIRED_METRICS = (
     "storage_write_bytes_total",   # storage layer (LocalFS meter)
     "storage_fsync_seconds",       # storage latency histogram
 )
+
+#: HTTP routes a node built with a tracer and a slow-op log must serve.
+NODE_ROUTES = ("/", "/metrics", "/metrics.json", "/trace", "/trace.json", "/slowops.json")
+
+#: HTTP routes the coordinator must serve (its SLO monitor is always wired).
+CLUSTER_ROUTES = ("/cluster/metrics", "/cluster/metrics.json", "/cluster/slo.json")
 
 #: Span names that must appear in the assembled client+server trace tree.
 REQUIRED_SPANS = (
@@ -96,6 +107,8 @@ def run_smoke(out: TextIO = sys.stdout) -> int:
                     f'rpc_server_dispatch_total{{path="loop"}}={on_loop}: the '
                     "lookups did not run on the event loop"
                 )
+
+            _check_routes(node.metrics_exporter, NODE_ROUTES, failures)
 
             # -- check 2: one update is one cross-process trace tree ----------
             trace_id = client_tracer.last_trace_id()
@@ -169,6 +182,7 @@ def run_cluster_smoke(out: TextIO = sys.stdout) -> int:
     """
     from repro.cluster.serve import ClusterSupervisor
     from repro.obs import Tracer, span_names
+    from repro.obs.slo import _sum_values
 
     failures: list[str] = []
     with tempfile.TemporaryDirectory(prefix="obs-cluster-smoke-") as base:
@@ -242,8 +256,8 @@ def run_cluster_smoke(out: TextIO = sys.stdout) -> int:
 
                 # -- check 2: rollups equal the sum of per-node scrapes ---
                 scrape = coordinator.cluster_metrics_snapshot()
-                per_node = _counter_sum(scrape["per_replica"], "db_updates_total")
-                rolled = _counter_sum(scrape["cluster"], "db_updates_total")
+                per_node = _sum_values(scrape["per_replica"], "db_updates_total")
+                rolled = _sum_values(scrape["cluster"], "db_updates_total")
                 if per_node <= 0:
                     failures.append("no db_updates_total in per-node scrapes")
                 if abs(per_node - rolled) > 1e-9:
@@ -259,6 +273,7 @@ def run_cluster_smoke(out: TextIO = sys.stdout) -> int:
                     text = response.read().decode("utf-8")
                 if "db_updates_total" not in text:
                     failures.append(f"db_updates_total missing from {url}")
+                _check_routes(supervisor.metrics_exporter, CLUSTER_ROUTES, failures)
 
                 # -- check 4: the SLO monitor evaluates -------------------
                 slo = coordinator.cluster_slo()
@@ -279,14 +294,19 @@ def run_cluster_smoke(out: TextIO = sys.stdout) -> int:
     return 0
 
 
-def _counter_sum(snapshot: dict, family: str) -> float:
-    """Sum of every series value of one counter family in a snapshot."""
-    entry = snapshot.get(family)
-    if not entry:
-        return 0.0
-    return sum(
-        float(series.get("value", 0.0)) for series in entry.get("series", [])
-    )
+def _check_routes(exporter, required: tuple, failures: list[str]) -> None:
+    """Every route ``exporter`` serves answers 200 over real HTTP, every
+    ``required`` path is among them, and an unknown path answers 404."""
+    base = f"http://{exporter.host}:{exporter.port}"
+    failures.extend(f"{base}{p} is not a route" for p in required if p not in exporter.routes)
+    for path, expected in [*((p, 200) for p in sorted(exporter.routes)), ("/no-such-route", 404)]:
+        try:
+            with urllib.request.urlopen(base + path, timeout=10) as response:
+                status = response.status
+        except urllib.error.HTTPError as exc:
+            status = exc.code
+        if status != expected:
+            failures.append(f"{base}{path} answered {status}, expected {expected}")
 
 
 def _sample(scrape: str, name: str) -> float | None:

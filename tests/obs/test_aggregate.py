@@ -9,14 +9,13 @@ import urllib.request
 import pytest
 
 from repro.obs.aggregate import (
-    ClusterMetricsExporter,
     MetricsAggregator,
+    cluster_routes,
     merge_snapshots,
-    quantile_from_buckets,
     rollup,
-    snapshot_to_prometheus,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.export import MetricsExporter, to_prometheus
+from repro.obs.metrics import MetricsRegistry, bucket_quantile
 
 
 def node_registry(updates: int, latency: float) -> MetricsRegistry:
@@ -126,15 +125,15 @@ class TestMergeAndRollup:
 class TestQuantiles:
     def test_interpolates_within_the_rank_bucket(self):
         buckets = [[0.1, 0.0], [0.2, 100.0]]
-        assert quantile_from_buckets(buckets, 0.5) == pytest.approx(0.15)
+        assert bucket_quantile(buckets, 0.5) == pytest.approx(0.15)
 
     def test_inf_bucket_reports_its_lower_bound(self):
         buckets = [[1.0, 0.0], [float("inf"), 10.0]]
-        assert quantile_from_buckets(buckets, 0.99) == pytest.approx(1.0)
+        assert bucket_quantile(buckets, 0.99) == pytest.approx(1.0)
 
     def test_empty_histogram_reports_zero(self):
-        assert quantile_from_buckets([], 0.99) == 0.0
-        assert quantile_from_buckets([[1.0, 0.0]], 0.99) == 0.0
+        assert bucket_quantile([], 0.99) == 0.0
+        assert bucket_quantile([[1.0, 0.0]], 0.99) == 0.0
 
 
 class TestAggregator:
@@ -194,7 +193,7 @@ class TestSnapshotToPrometheus:
         snapshot = merge_snapshots(
             {"r1": node_registry(2, 0.05).snapshot()}
         )
-        text = snapshot_to_prometheus(snapshot)
+        text = to_prometheus(snapshot)
         assert "# TYPE db_updates_total counter" in text
         assert 'db_updates_total{replica="r1"} 2' in text
         assert 'db_update_seconds_count{replica="r1"} 2' in text
@@ -205,7 +204,7 @@ class TestClusterExporterHttp:
         aggregator = aggregator_over(
             {"r1": ("s0", FakeManagement(node_registry(3, 0.01)))}
         )
-        return ClusterMetricsExporter(aggregator, slo_status=slo_status)
+        return MetricsExporter(cluster_routes(aggregator, slo_status=slo_status))
 
     def get(self, port, path):
         with urllib.request.urlopen(

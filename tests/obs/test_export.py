@@ -12,6 +12,7 @@ from repro.obs.export import (
     MetricsExporter,
     SlowOpLog,
     merge_trees,
+    node_routes,
     to_json,
     to_prometheus,
     trace_payload,
@@ -25,7 +26,7 @@ class TestPrometheusText:
     def test_counter_exposition(self):
         registry = MetricsRegistry()
         registry.counter("hits_total", "Total hits.").inc(3)
-        text = to_prometheus(registry)
+        text = to_prometheus(registry.snapshot())
         assert "# HELP hits_total Total hits.\n" in text
         assert "# TYPE hits_total counter\n" in text
         assert "\nhits_total 3\n" in text
@@ -34,7 +35,7 @@ class TestPrometheusText:
         registry = MetricsRegistry()
         family = registry.gauge("lag", "Lag.", labelnames=("peer",))
         family.labels('we"st\\1\n').set(2)
-        text = to_prometheus(registry)
+        text = to_prometheus(registry.snapshot())
         assert 'lag{peer="we\\"st\\\\1\\n"} 2' in text
 
     def test_histogram_cumulative_buckets_and_inf(self):
@@ -43,7 +44,7 @@ class TestPrometheusText:
         histogram.observe(0.05)
         histogram.observe(0.5)
         histogram.observe(50.0)
-        text = to_prometheus(registry)
+        text = to_prometheus(registry.snapshot())
         assert 'h_seconds_bucket{le="0.1"} 1' in text
         assert 'h_seconds_bucket{le="1"} 2' in text
         assert 'h_seconds_bucket{le="+Inf"} 3' in text
@@ -53,7 +54,7 @@ class TestPrometheusText:
     def test_float_values_keep_precision(self):
         registry = MetricsRegistry()
         registry.counter("x_total").inc(0.125)
-        assert "\nx_total 0.125\n" in to_prometheus(registry)
+        assert "\nx_total 0.125\n" in to_prometheus(registry.snapshot())
 
 
 class TestJson:
@@ -158,7 +159,7 @@ class TestHttpEndpoint:
         with tracer.span("op"):
             clock.advance(0.01)
         with MetricsExporter(
-            registry, tracer=tracer, slow_log=slow_log
+            node_routes(registry, tracer=tracer, slow_log=slow_log)
         ) as exporter:
             assert "up_total 1" in self._get(exporter, "/metrics")
             assert "up_total 1" in self._get(exporter, "/")
@@ -171,12 +172,12 @@ class TestHttpEndpoint:
             assert [s["name"] for s in slow] == ["op"]
 
     def test_unknown_path_is_404(self):
-        with MetricsExporter(MetricsRegistry()) as exporter:
+        with MetricsExporter(node_routes(MetricsRegistry())) as exporter:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 self._get(exporter, "/nope")
             assert excinfo.value.code == 404
 
     def test_trace_routes_404_without_tracer(self):
-        with MetricsExporter(MetricsRegistry()) as exporter:
+        with MetricsExporter(node_routes(MetricsRegistry())) as exporter:
             with pytest.raises(urllib.error.HTTPError):
                 self._get(exporter, "/trace")

@@ -9,8 +9,8 @@ import time
 import urllib.error
 import urllib.request
 
-from repro.obs.aggregate import ClusterMetricsExporter, MetricsAggregator
-from repro.obs.export import MetricsExporter
+from repro.obs.aggregate import MetricsAggregator, cluster_routes
+from repro.obs.export import MetricsExporter, node_routes
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import SamplingProfiler
 
@@ -25,7 +25,7 @@ class TestLifecycle:
     def test_repeated_cycles_keep_port_and_leak_no_threads(self):
         registry = MetricsRegistry()
         registry.counter("ticks_total").inc()
-        exporter = MetricsExporter(registry)
+        exporter = MetricsExporter(node_routes(registry))
         port = exporter.port
         baseline_threads = threading.active_count()
 
@@ -49,7 +49,7 @@ class TestLifecycle:
         assert threading.active_count() <= baseline_threads + 1
 
     def test_stop_without_start_is_safe_and_releases_the_socket(self):
-        exporter = MetricsExporter(MetricsRegistry())
+        exporter = MetricsExporter(node_routes(MetricsRegistry()))
         exporter.stop()
         exporter.stop()  # idempotent
         probe = socket.socket()
@@ -64,7 +64,7 @@ class TestLifecycle:
         and the server thread and port are fully released after."""
         registry = MetricsRegistry()
         registry.counter("ticks_total").inc()
-        exporter = MetricsExporter(registry)
+        exporter = MetricsExporter(node_routes(registry))
         exporter.start()
         self._race_stop(exporter, "/metrics", b"ticks_total")
         assert not any(
@@ -82,11 +82,11 @@ class TestLifecycle:
         aggregator = MetricsAggregator(
             lambda: [("r1", "s0", "sim:r1")], lambda address: OneNode()
         )
-        exporter = ClusterMetricsExporter(aggregator)
+        exporter = MetricsExporter(cluster_routes(aggregator))
         exporter.start()
         self._race_stop(exporter, "/cluster/metrics", b"db_updates_total")
         assert not any(
-            t.name == "obs-cluster-http" for t in threading.enumerate()
+            t.name == "obs-metrics-http" for t in threading.enumerate()
         )
 
     def _race_stop(self, exporter, path, marker):
@@ -129,14 +129,14 @@ class TestLifecycle:
     def test_profile_routes_served_when_profiler_attached(self):
         profiler = SamplingProfiler()
         profiler.sample_once()
-        exporter = MetricsExporter(MetricsRegistry(), profiler=profiler)
+        exporter = MetricsExporter(node_routes(MetricsRegistry(), profiler=profiler))
         with exporter:
             text = _scrape(exporter, "/profile").decode()
             assert text.strip()  # collapsed flame stacks
             snap = json.loads(_scrape(exporter, "/profile.json"))
             assert snap["samples"] == 1
         # Without a profiler the routes 404 rather than crash the server.
-        bare = MetricsExporter(MetricsRegistry())
+        bare = MetricsExporter(node_routes(MetricsRegistry()))
         with bare:
             try:
                 _scrape(bare, "/profile")
@@ -144,3 +144,28 @@ class TestLifecycle:
                 assert exc.code == 404
             else:  # pragma: no cover - the request must not succeed
                 raise AssertionError("expected 404 without a profiler")
+
+    def test_a_route_that_raises_answers_503_and_keeps_serving(self):
+        class BrokenProfiler:
+            def collapsed(self):
+                raise RuntimeError("sampler gone, 5 € lost")
+
+            def snapshot(self):
+                return {"samples": 0}
+
+        exporter = MetricsExporter(
+            node_routes(MetricsRegistry(), profiler=BrokenProfiler())
+        )
+        with exporter:
+            try:
+                _scrape(exporter, "/profile")
+            except urllib.error.HTTPError as exc:
+                assert exc.code == 503
+                # non-Latin-1 error text is escaped, not fatal to the reply
+                assert exc.reason == (
+                    "scrape failed: RuntimeError('sampler gone, 5 \\u20ac lost')"
+                )
+            else:  # pragma: no cover - the request must not succeed
+                raise AssertionError("expected 503 from a raising route")
+            # the endpoint survives: the next scrape is served
+            assert json.loads(_scrape(exporter, "/profile.json")) == {"samples": 0}

@@ -5,12 +5,14 @@ from __future__ import annotations
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     MetricError,
     MetricsRegistry,
     SIZE_BUCKETS,
+    bucket_quantile,
 )
 from repro.sim.clock import SimClock
 
@@ -135,6 +137,125 @@ class TestHistogramQuantiles:
         assert values == sorted(values)
 
 
+def _reference_series_quantile(bounds, counts, q, lowest, highest):
+    """The per-series estimator as it stood before the shared one.
+
+    ``counts`` holds one non-cumulative count per bucket, +Inf last.
+    """
+    total = sum(counts)
+    if not total:
+        return 0.0
+    rank = q * total
+    cumulative = 0
+    for index, bucket_count in enumerate(counts):
+        cumulative += bucket_count
+        if cumulative >= rank and bucket_count:
+            lower = bounds[index - 1] if index > 0 else 0.0
+            upper = bounds[index] if index < len(bounds) else highest
+            lower = max(lower, lowest) if index == 0 else lower
+            upper = min(upper, highest)
+            if upper < lower:
+                upper = lower
+            within = (rank - (cumulative - bucket_count)) / bucket_count
+            return lower + (upper - lower) * within
+    return highest
+
+
+def _reference_merged_quantile(buckets, q):
+    """The cluster rollup's estimator as it stood before the shared one."""
+    if not buckets:
+        return 0.0
+    total = float(buckets[-1][1])
+    if total <= 0:
+        return 0.0
+    rank = q * total
+    prev_bound, prev_cum = 0.0, 0.0
+    for bound, cum in buckets:
+        bound, cum = float(bound), float(cum)
+        if cum >= rank and cum > prev_cum:
+            if bound == float("inf"):
+                return prev_bound
+            within = (rank - prev_cum) / (cum - prev_cum)
+            return prev_bound + (bound - prev_bound) * within
+        prev_bound, prev_cum = bound, cum
+    return prev_bound
+
+
+_bounds = st.lists(
+    st.floats(min_value=1e-6, max_value=1e6), min_size=1, max_size=8, unique=True
+).map(sorted)
+_quantile = st.one_of(
+    st.sampled_from((0.0, 0.01, 0.5, 0.9, 0.99, 1.0)),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+class TestBucketQuantile:
+    """The one estimator reproduces both estimators it replaced, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bounds=_bounds,
+        data=st.data(),
+        q=_quantile,
+        extremes=st.lists(
+            st.floats(min_value=-1.0, max_value=2e6), min_size=2, max_size=2
+        ).map(sorted),
+    )
+    def test_with_low_and_high_matches_the_series_estimator(
+        self, bounds, data, q, extremes
+    ):
+        counts = data.draw(
+            st.lists(
+                st.integers(0, 50), min_size=len(bounds) + 1,
+                max_size=len(bounds) + 1,
+            )
+        )
+        lowest, highest = extremes
+        cumulative, running = [], 0
+        for bound, count in zip(bounds + [float("inf")], counts):
+            running += count
+            cumulative.append((bound, running))
+        expected = _reference_series_quantile(bounds, counts, q, lowest, highest)
+        got = bucket_quantile(cumulative, q, low=max(0.0, lowest), high=highest)
+        assert repr(got) == repr(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bounds=_bounds,
+        data=st.data(),
+        q=_quantile,
+        with_inf=st.booleans(),
+    )
+    def test_without_low_and_high_matches_the_merged_estimator(
+        self, bounds, data, q, with_inf
+    ):
+        if with_inf:
+            bounds = bounds + [float("inf")]
+        steps = data.draw(
+            st.lists(
+                st.floats(min_value=0.0, max_value=100.0),
+                min_size=len(bounds), max_size=len(bounds),
+            )
+        )
+        buckets, running = [], 0.0
+        for bound, step in zip(bounds, steps):
+            running += step
+            buckets.append([bound, running])
+        assert repr(bucket_quantile(buckets, q)) == repr(
+            _reference_merged_quantile(buckets, q)
+        )
+
+    def test_series_quantile_uses_observed_extremes(self):
+        histogram = MetricsRegistry().histogram("h", buckets=(1.0, 2.0))
+        for value in (1.25, 1.5, 3.0):
+            histogram.observe(value)
+        series = histogram.labels()
+        assert series.quantile(1.0) == bucket_quantile(
+            series.bucket_counts(), 1.0, low=1.25, high=3.0
+        )
+
+
 class TestTiming:
     def test_timer_observes_clock_elapsed(self):
         clock = SimClock()
@@ -171,6 +292,8 @@ class TestRegistry:
             registry.counter("2bad")
         with pytest.raises(MetricError):
             registry.counter("ok_total", labelnames=("bad-label",))
+        with pytest.raises(MetricError):
+            registry.counter("ok_total", labelnames=("peer", "peer"))
 
     def test_labelled_family_rejects_bare_use(self):
         family = MetricsRegistry().counter("x_total", labelnames=("a",))
