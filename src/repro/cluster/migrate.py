@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.cluster.errors import MigrationFailed
-from repro.cluster.quorum import MIGRATION_STATE_FILE, as_store
+from repro.cluster.quorum import as_store
 from repro.cluster.shardmap import ShardMap
 from repro.core.sharding import default_hash
 from repro.rpc.errors import CallMaybeExecuted, TransportError

@@ -67,7 +67,7 @@ from repro.core.version import (
     finalize_switch,
     logfile_name,
 )
-from repro.pickles import DEFAULT_REGISTRY, TypeRegistry, pickle_write
+from repro.pickles import DEFAULT_REGISTRY, SegmentCache, TypeRegistry, pickle_write
 from repro.sim.clock import Clock, WallClock
 from repro.sim.costmodel import CostModel
 from repro.storage.errors import MediaError, StorageError
@@ -150,6 +150,8 @@ FlightRecorder` black box; one on the database's clock is created when
         self.pickle_registry = (
             pickle_registry if pickle_registry is not None else DEFAULT_REGISTRY
         )
+        #: checkpoints copy the encoding of every segment nothing changed
+        self._segments = SegmentCache(self.pickle_registry)
         self.clock = clock if clock is not None else getattr(fs, "clock", None) or WallClock()
         self.policy = policy if policy is not None else Never()
         if keep_versions < 1:
@@ -509,7 +511,7 @@ FlightRecorder` black box; one on the database's clock is created when
                         f"checkpoint could not flush staged commits: {exc}"
                     ) from exc
             new_version = self._version + 1
-            payload = pickle_write(self._root, self.pickle_registry)
+            payload = self._segments.write(self._root)
             self.stats.charge("pickle", len(payload))
             try:
                 if self._switch_unfinished:

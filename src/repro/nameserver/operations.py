@@ -240,6 +240,7 @@ def ns_purge(root: dict, components: list[str]) -> int:
     """
     removed = 0
     tree = root["tree"]
+    tree.pickle_segment = None
     for component in components:
         node = tree.children.pop(str(component), None)
         if node is not None:

@@ -49,18 +49,56 @@ class Leaf:
 
 
 class Node:
-    """One hash table of the tree; may also carry a leaf binding."""
+    """One hash table of the tree; may also carry a leaf binding.
+
+    ``pickle_segment`` caches a wide node's checkpoint encoding (see
+    :data:`SEGMENT_WIDTH`).  Every mutator below resets it on each node
+    from the root to the one it changes; it is not part of the pickle,
+    and a copy of the node starts without it.
+    """
+
+    __slots__ = ("children", "leaf", "pickle_segment")
 
     def __init__(self) -> None:
         self.children: dict[str, Node] = {}
         self.leaf: Leaf | None = None
+        self.pickle_segment = None
 
     def is_empty(self) -> bool:
         return self.leaf is None and not self.children
 
+    def __getstate__(self) -> tuple[None, dict]:
+        return None, {"children": self.children, "leaf": self.leaf}
+
+
+#: a node with this many children, none of which has children of its
+#: own, is checkpointed as a segment: the next checkpoint copies its bytes
+#: unless something below it changed.  The nodes above such a node change
+#: in nearly every checkpoint cycle, so caching them would not pay.
+SEGMENT_WIDTH = 8
+
+
+def _is_segment(node: Node) -> bool:
+    """Whether ``node`` is a wide table just above the leaves.
+
+    A bound value may be a ``Node`` decoded from a client, with anything
+    in its fields, so the rule looks at types before it reads a field.
+    """
+    children = node.children
+    return (
+        type(children) is dict
+        and len(children) >= SEGMENT_WIDTH
+        and all(
+            type(child) is Node and type(child.children) is dict and not child.children
+            for child in children.values()
+        )
+    )
+
 
 DEFAULT_REGISTRY.register(Leaf, name="nameserver.Leaf")
-DEFAULT_REGISTRY.register(Node, name="nameserver.Node")
+DEFAULT_REGISTRY.register(
+    Node, name="nameserver.Node", fields=("children", "leaf"), segment=_is_segment
+)
 
 
 def parse_path(path: object) -> Path:
@@ -93,13 +131,20 @@ def find_node(root: Node, path: Path) -> Node | None:
 
 
 def ensure_node(root: Node, path: Path) -> Node:
-    """The node at ``path``, creating intermediate tables as needed."""
+    """The node at ``path``, creating intermediate tables as needed.
+
+    The caller is about to change it: every node on the way drops its
+    cached checkpoint encoding.
+    """
     node = root
+    node.pickle_segment = None
     for part in path:
         child = node.children.get(part)
         if child is None:
             child = Node()
             node.children[part] = child
+        else:
+            child.pickle_segment = None
         node = child
     return node
 
@@ -236,6 +281,7 @@ def prune_empty(node: Node) -> None:
     Tombstones are retained (they must keep propagating); fully empty
     tables left by pruning are removed to bound memory.
     """
+    node.pickle_segment = None
     for name in list(node.children):
         child = node.children[name]
         prune_empty(child)

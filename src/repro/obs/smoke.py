@@ -69,7 +69,7 @@ def run_smoke(out: TextIO = sys.stdout) -> int:
     from repro.nameserver.client import RemoteNameServer
     from repro.nameserver.management import RemoteManagement
     from repro.nameserver.serve import NodeOptions, build_node
-    from repro.obs import MetricsRegistry, Tracer, build_tree, merge_trees, span_names
+    from repro.obs import MetricsRegistry, Tracer, merge_trees, span_names
     from repro.rpc import TcpTransport
 
     failures: list[str] = []

@@ -26,7 +26,7 @@ True
 """
 
 from repro.pickles.decode import PickleReader, pickle_read
-from repro.pickles.encode import PickleWriter, pickle_write
+from repro.pickles.encode import PickleWriter, SegmentCache, pickle_write
 from repro.pickles.errors import (
     MalformedPickle,
     PickleError,
@@ -45,6 +45,7 @@ __all__ = [
     "PickleReader",
     "PickleWriter",
     "RegistryError",
+    "SegmentCache",
     "TruncatedPickle",
     "TypeRegistry",
     "UnknownRecordClass",

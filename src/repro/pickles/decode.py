@@ -36,6 +36,7 @@ from repro.pickles.wire import (
     TAG_NONE,
     TAG_RECORD,
     TAG_REF,
+    TAG_SEGMENT,
     TAG_SET,
     TAG_STR,
     TAG_TRUE,
@@ -81,13 +82,14 @@ class PickleReader:
     def read(self) -> object:
         """Decode the next value from the buffer.
 
-        Damage that surfaces as a bad UTF-8 body or an unhashable dict
-        key or set element is reported as :class:`MalformedPickle`, like
-        every other structural fault.
+        Damage that surfaces as a bad UTF-8 body, an unhashable dict key
+        or set element, or a field a slotted record class does not have is
+        reported as :class:`MalformedPickle`, like every other structural
+        fault.
         """
         try:
             return self._decode(1)
-        except (UnicodeDecodeError, TypeError) as exc:
+        except (UnicodeDecodeError, TypeError, AttributeError) as exc:
             raise MalformedPickle(f"undecodable value: {exc}") from exc
 
     def offset(self) -> int:
@@ -145,6 +147,8 @@ class PickleReader:
                 value = wire.read_float()
                 self._pos = wire.offset
                 return value
+            if tag == TAG_SEGMENT:
+                return self._segment(pos, depth)
             raise UnknownTypeTag(tag, pos - 1)
         # A varint: a length, a count, an integer or a swizzle index.
         # One-byte ones (nearly all of them) are read in line.
@@ -217,6 +221,34 @@ class PickleReader:
         frozen = tuple(items) if tag == TAG_TUPLE else frozenset(items)
         self._table.append(frozen)
         return frozen
+
+    def _segment(self, pos: int, depth: int) -> object:
+        """A record written with its own swizzle table (tag ``0x0E``).
+
+        The body is decoded against a fresh table and may not run past its
+        declared length; its entries then join the enclosing table, where
+        what follows may refer to them.  It is a record at the segment's
+        own depth, so the depth limit is the same as without segments.
+        """
+        wire = WireReader(self._data, pos)
+        length = wire.read_varint()
+        count = wire.read_varint()
+        start = wire.offset
+        end = start + length
+        if end > self._size:
+            raise TruncatedPickle(start, f"segment body of {length} bytes exceeds the input")
+        if length == 0 or self._data[start] != TAG_RECORD:
+            raise MalformedPickle(f"segment at offset {pos - 1} holds no record")
+        outer, size = self._table, self._size
+        self._table, self._size, self._pos = [], end, start
+        value = self._decode(depth)
+        inner, self._table, self._size = self._table, outer, size
+        if self._pos != end:
+            raise MalformedPickle(f"segment at offset {pos - 1} declares {length} body bytes")
+        if len(inner) != count:
+            raise MalformedPickle(f"segment at offset {pos - 1} declares {count} entries")
+        outer += inner
+        return value
 
 
 def pickle_read(data: bytes, registry: TypeRegistry | None = None) -> object:

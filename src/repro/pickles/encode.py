@@ -17,9 +17,17 @@ standard library makes.
 
 Strings and byte strings are deduplicated by value: a log full of updates
 naming the same fields costs the field names once.
+
+A :class:`SegmentCache` pass (the checkpoint's) writes the records a
+registry marks as segments with tables of their own and keeps their
+bytes for the next pass; plain :func:`pickle_write` never does.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import compress
+from sys import getrefcount
 
 from repro.pickles.errors import NestingTooDeep, UnpickleableType
 from repro.pickles.registry import DEFAULT_REGISTRY, TypeRegistry
@@ -34,6 +42,7 @@ from repro.pickles.wire import (
     TAG_NONE,
     TAG_RECORD,
     TAG_REF,
+    TAG_SEGMENT,
     TAG_SET,
     TAG_STR,
     TAG_TRUE,
@@ -51,18 +60,22 @@ class PickleWriter:
     """One encoding pass; use :func:`pickle_write` unless streaming.
 
     Successive :meth:`write` calls share one swizzle table, so a value
-    written twice costs a back reference the second time.
+    written twice costs a back reference the second time.  With a
+    ``cache`` it is the top of that :class:`SegmentCache`'s pass, which
+    :meth:`SegmentCache.write` drives.
     """
 
     __slots__ = (
         "_out", "_append", "_registry", "_max_depth", "_by_id", "_strings",
-        "_blobs", "_pinned", "_described", "_count",
+        "_blobs", "_pinned", "_described", "_count", "_cache", "_parts",
+        "_placed", "_exported",
     )
 
     def __init__(
         self,
         registry: TypeRegistry | None = None,
         max_depth: int = MAX_DEPTH,
+        cache: SegmentCache | None = None,
     ) -> None:
         self._registry = registry if registry is not None else DEFAULT_REGISTRY
         self._max_depth = max_depth
@@ -77,8 +90,21 @@ class PickleWriter:
         self._count = 0
         # Objects kept alive so ids stay unique during the pass.
         self._pinned: list[object] = []
-        # class -> (wire name, fields), asked of the registry once per pass
+        # class -> (wire name, fields, segment rule), asked of the registry
+        # once per pass; the rule is None unless segments are being cached
         self._described: dict[type, tuple] = {}
+        # The top of a SegmentCache pass: the cache, finished output
+        # pieces, every segment record spliced so far -> (its first table
+        # index, the segment placed there), and the cache's index of the
+        # keys segments export, looked up once a segment is spliced.
+        self._cache = cache
+        self._parts: list | None = None
+        self._placed: dict | None = None
+        self._exported: dict | None = None
+        if cache is not None:
+            self._parts = []
+            self._placed = {}
+            self._exported = cache._holders
 
     def write(self, value: object) -> None:
         """Append the pickle of ``value`` to the output buffer."""
@@ -86,7 +112,9 @@ class PickleWriter:
 
     def getvalue(self) -> bytes:
         """Everything written so far."""
-        return bytes(self._out)
+        if self._parts is None:
+            return bytes(self._out)
+        return b"".join(self._parts + [self._out])
 
     def _encode(self, value: object, depth: int) -> None:
         if depth > self._max_depth:
@@ -96,6 +124,8 @@ class PickleWriter:
         # Leaves, most frequent first.
         if kind is str:
             index = self._strings.get(value)
+            if index is None and self._placed and value in self._exported:
+                index = self._resolve(self._strings, value, value)
             if index is None:
                 self._strings[value] = self._count
                 self._count += 1
@@ -130,6 +160,8 @@ class PickleWriter:
             return
         elif kind is bytes:
             index = self._blobs.get(value)
+            if index is None and self._placed and value in self._exported:
+                index = self._resolve(self._blobs, value, value)
             if index is None:
                 self._blobs[value] = self._count
                 self._count += 1
@@ -140,6 +172,8 @@ class PickleWriter:
         else:
             # Heap objects: shared structure via identity.
             index = self._by_id.get(id(value))
+            if index is None and self._placed and id(value) in self._exported:
+                index = self._resolve(self._by_id, id(value), value)
         if index is not None:
             append(TAG_REF)
             if index < 0x80:
@@ -182,8 +216,14 @@ class PickleWriter:
                 described = self._registry.describe(kind)
                 if described is None:
                     raise UnpickleableType(value)
-                self._described[kind] = described
-            name, fields = described
+                rule = None
+                if self._cache is not None:
+                    rule = self._registry.segment_rule(kind)
+                described = self._described[kind] = (*described, rule)
+            name, fields, rule = described
+            if rule is not None and rule(value):
+                self._splice(value, depth - 1)
+                return
             self._by_id[id(value)] = self._count
             self._count += 1
             self._pinned.append(value)
@@ -201,6 +241,46 @@ class PickleWriter:
                     encode(field, depth)
                     encode(getattr(value, field), depth)
 
+    def _splice(self, value: object, depth: int) -> None:
+        """Write ``value`` as a segment: its cached bytes, or fresh ones.
+
+        The bytes are reused only if this cache wrote them at this depth
+        and ``value.pickle_segment`` still holds them: a mutator resets
+        the attribute, and a decoded record may carry anything in it.
+        """
+        cache = self._cache
+        segment = cache._indexed.get(value)
+        if (
+            segment is None
+            or getattr(value, "pickle_segment", None) is not segment
+            or segment.depth != depth
+        ):
+            segment = cache._encode(value, depth, self._max_depth)
+            value.pickle_segment = segment
+        if self._out:
+            self._parts.append(bytes(self._out))
+            self._out.clear()
+        self._parts += segment.parts
+        self._placed[value] = (self._count, segment)
+        self._count += segment.count
+
+    def _resolve(self, table: dict, key: object, value: object) -> int | None:
+        """The index of ``key`` in the one segment spliced so far holding it."""
+        holder = self._exported[key]
+        if type(holder) is set:
+            spliced = [record for record in holder if record in self._placed]
+            if len(spliced) != 1:
+                return None
+            holder = spliced[0]
+        placed = self._placed.get(holder)
+        if placed is None:
+            return None
+        base, segment = placed
+        index = table[key] = base + segment.exports[key]
+        if value is not key:
+            self._pinned.append(value)
+        return index
+
 
 def _stable_set_order(items: set | frozenset) -> list:
     """Deterministic element order so equal sets pickle identically."""
@@ -215,3 +295,127 @@ def pickle_write(value: object, registry: TypeRegistry | None = None) -> bytes:
     writer = PickleWriter(registry)
     writer.write(value)
     return writer.getvalue()
+
+
+# -- segments: a checkpoint that re-encodes only what changed ---------------
+
+
+@dataclass(slots=True, eq=False)
+class Segment:
+    """One record's cached encoding and what it exports."""
+
+    #: tag and header, then the body
+    parts: tuple[bytes, bytes]
+    #: swizzle-table entries the segment adds
+    count: int
+    #: the nesting depth it was written at; reused only at that depth
+    depth: int
+    #: string, byte string or object id -> index from the first entry
+    exports: dict
+    #: the exported objects, kept alive so their ids stay theirs
+    held: list
+
+
+def _held_beyond(objects: list, count: int) -> list:
+    """Those of ``objects`` whose reference count here exceeds ``count``."""
+    return list(compress(objects, map(count.__lt__, map(getrefcount, objects))))
+
+
+#: the count ``_held_beyond`` sees for an object only its list holds
+_ALONE = next(count for count in range(64) if not _held_beyond([object()], count))
+
+
+class SegmentCache:
+    """Checkpoint pickling that copies the segments nothing has changed.
+
+    A record class registered with a ``segment`` rule (the name tree's
+    wide nodes) is written by a cache pass as a **segment**: tag ``0x0E``,
+    the body's length, its swizzle-table entry count, and the body — the
+    record pickled with a table of its own, so a back reference inside it
+    counts from the segment's first entry.  The bytes do not depend on
+    anything outside the record's subtree, so the pass keeps them in the
+    record's ``pickle_segment`` attribute and copies them into the next
+    checkpoint as they are, unless a mutation below the record has reset
+    the attribute to ``None``.  Segments do not nest: a segment record
+    inside a segment is written in line by the plain writer of the body.
+
+    The decoder appends a segment's entries to the enclosing table, so
+    what follows the segment may refer back into it.  The top of the pass
+    does so for a string, a byte string or an object it would otherwise
+    write afresh when exactly one segment spliced before it exports that
+    key; two or more mean it is written afresh.  That rule depends only on
+    the bytes written before it, never on which segments came from the
+    cache, so a pass over cached segments gives the same bytes as one that
+    encodes every segment.  A segment exports all its strings and byte
+    strings, and the objects that something besides their container holds
+    — an object held once can only be reached through its container,
+    which is inside the segment.
+
+    One cache serves one database: it knows the segment of every record
+    its last pass spliced and which keys each exports.  ``write(root)``
+    returns a pickle that ``pickle_read`` decodes to a root equal to the
+    one ``pickle_write(root)`` gives; a reader from before tag ``0x0E``
+    rejects it as an unknown tag.
+    """
+
+    def __init__(self, registry: TypeRegistry | None = None) -> None:
+        self._registry = registry if registry is not None else DEFAULT_REGISTRY
+        #: exported key -> the segment record exporting it, or a set of them
+        self._holders: dict[object, object] = {}
+        #: segment record -> the segment whose exports ``_holders`` lists
+        self._indexed: dict[object, Segment] = {}
+
+    def write(self, value: object) -> bytes:
+        """One pass: pickle ``value``, reusing every clean segment."""
+        writer = PickleWriter(self._registry, cache=self)
+        writer.write(value)
+        payload = writer.getvalue()
+        for record in self._indexed.keys() - writer._placed.keys():
+            self._index(record, self._indexed.pop(record).exports, {})
+        return payload
+
+    def _encode(self, value: object, depth: int, max_depth: int) -> Segment:
+        """Write ``value`` afresh as a segment at ``depth`` and index it.
+
+        A plain writer writes the body, so a segment record inside it is
+        written in line: segments do not nest.
+        """
+        writer = PickleWriter(self._registry, max_depth)
+        writer._encode(value, depth)
+        body = writer.getvalue()
+        header = bytearray((TAG_SEGMENT,))
+        encode_varint(len(body), header)
+        encode_varint(writer._count, header)
+        exports = writer._strings
+        exports.update(writer._blobs)
+        # In the pinned list and one container: nothing else can refer to it.
+        held = _held_beyond(writer._pinned, _ALONE + 1)
+        by_id = writer._by_id
+        for obj in held:
+            exports[id(obj)] = by_id[id(obj)]
+        segment = Segment((bytes(header), body), writer._count, depth, exports, held)
+        previous = self._indexed.get(value)
+        self._index(value, previous.exports if previous else {}, exports)
+        self._indexed[value] = segment
+        return segment
+
+    def _index(self, record: object, before: dict, after: dict) -> None:
+        """Move ``record``'s exports in the index from ``before`` to ``after``."""
+        holders = self._holders
+        added = after.keys() - before.keys()
+        first = added.difference(holders)
+        holders.update(dict.fromkeys(first, record))
+        for key in added - first:
+            current = holders[key]
+            if type(current) is set:
+                current.add(record)
+            else:
+                holders[key] = {current, record}
+        for key in before.keys() - after.keys():
+            current = holders[key]
+            if current is record:
+                del holders[key]
+            else:
+                current.discard(record)
+                if len(current) == 1:
+                    holders[key] = current.pop()

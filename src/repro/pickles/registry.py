@@ -16,6 +16,7 @@ standard library's ``pickle`` can.
 from __future__ import annotations
 
 import threading
+from typing import Callable
 
 from repro.pickles.errors import RegistryError
 
@@ -34,6 +35,7 @@ class TypeRegistry:
     def __init__(self) -> None:
         self._by_name: dict[str, type] = {}
         self._by_class: dict[type, tuple[str, tuple[str, ...] | None]] = {}
+        self._segments: dict[type, Callable[[object], bool]] = {}
         self._lock = threading.Lock()
 
     def register(
@@ -41,6 +43,7 @@ class TypeRegistry:
         cls: type,
         name: str | None = None,
         fields: tuple[str, ...] | None = None,
+        segment: Callable[[object], bool] | None = None,
     ) -> type:
         """Register ``cls`` under ``name`` (default: the class name).
 
@@ -48,6 +51,16 @@ class TypeRegistry:
         means "whatever ``vars(instance)`` holds at encode time", which is
         the fully automatic mode the paper describes.  Returns ``cls`` so
         this can be used via the :func:`pickleable` decorator.
+
+        ``segment`` marks the instances for which it returns true as
+        segments: a :class:`~repro.pickles.encode.SegmentCache` writes
+        each one with its own swizzle table and keeps the bytes in the
+        instance's ``pickle_segment`` attribute, which the class provides
+        and every mutation of the instance's subtree resets to ``None``.
+        The rule sees every instance a pass reaches outside a segment,
+        decoded ones included, so it must answer false, not raise, for
+        whatever a decoder can put in the fields; instances must hash by
+        identity.  Plain :func:`~repro.pickles.pickle_write` ignores it.
         """
         wire_name = name if name is not None else cls.__name__
         if not wire_name:
@@ -70,6 +83,10 @@ class TypeRegistry:
                 wire_name,
                 tuple(fields) if fields is not None else None,
             )
+            if segment is not None:
+                self._segments[cls] = segment
+            else:
+                self._segments.pop(cls, None)
         return cls
 
     def unregister(self, cls: type) -> None:
@@ -79,6 +96,7 @@ class TypeRegistry:
             if described is None:
                 raise RegistryError(f"class {cls.__name__} is not registered")
             del self._by_name[described[0]]
+            self._segments.pop(cls, None)
 
     def describe(self, cls: type) -> tuple[str, tuple[str, ...] | None] | None:
         """``(wire name, fields)`` for a registered class, else ``None``.
@@ -86,6 +104,10 @@ class TypeRegistry:
         ``fields`` is ``None`` when the record carries ``vars(instance)``.
         """
         return self._by_class.get(cls)
+
+    def segment_rule(self, cls: type) -> Callable[[object], bool] | None:
+        """The predicate marking segment instances of ``cls``, if any."""
+        return self._segments.get(cls)
 
     def resolve(self, name: str) -> type | None:
         """The class registered under wire name ``name``, else ``None``."""
@@ -100,6 +122,7 @@ class TypeRegistry:
         with self._lock:
             self._by_name.clear()
             self._by_class.clear()
+            self._segments.clear()
 
 
 #: The process-wide default registry, used when none is passed explicitly.

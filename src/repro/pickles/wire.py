@@ -26,6 +26,8 @@ TAG_FROZENSET = 0x0A
 TAG_DICT = 0x0B
 TAG_RECORD = 0x0C
 TAG_REF = 0x0D
+#: a record written with its own swizzle table: body length, entry count, body
+TAG_SEGMENT = 0x0E
 
 TAG_NAMES = {
     TAG_NONE: "none",
@@ -42,6 +44,7 @@ TAG_NAMES = {
     TAG_DICT: "dict",
     TAG_RECORD: "record",
     TAG_REF: "ref",
+    TAG_SEGMENT: "segment",
 }
 
 _FLOAT_STRUCT = struct.Struct(">d")

@@ -9,7 +9,7 @@ from repro.cluster import (
     WrongShard,
     pending_migration,
 )
-from repro.cluster.migrate import MIGRATION_STATE_FILE
+from repro.cluster.quorum import MIGRATION_STATE_FILE
 from repro.core.sharding import HASH_SPACE, default_hash
 from repro.rpc.errors import TransportError
 

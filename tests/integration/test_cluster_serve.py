@@ -11,10 +11,8 @@ from __future__ import annotations
 import threading
 import time
 
-import pytest
-
-from repro.cluster import RemoteCoordinator, WrongShard
-from repro.cluster.serve import ClusterSupervisor, free_port, main
+from repro.cluster import RemoteCoordinator
+from repro.cluster.serve import ClusterSupervisor, free_port
 from repro.rpc import TcpTransport
 
 

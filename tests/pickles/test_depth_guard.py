@@ -57,3 +57,61 @@ class TestDepthGuard:
         value: list = []
         value.append(value)
         assert pickle_read(pickle_write(value))[0] is not None
+
+
+class TestDepthAcrossSegments:
+    """A segment is a record at its own depth: the limit does not move."""
+
+    @staticmethod
+    def boxed(depth: int):
+        from tests.pickles.boxes import Box
+
+        return [Box([deep_list(depth), 1])]  # the list sits 3 levels down
+
+    def test_encoder_limit_is_the_plain_one(self):
+        from tests.pickles.boxes import BOXES, segmented
+
+        for depth in (MAX_DEPTH - 4, MAX_DEPTH - 3):
+            value = self.boxed(depth)
+            try:
+                pickle_write(value, BOXES)
+            except NestingTooDeep:
+                with pytest.raises(NestingTooDeep):
+                    segmented(value)
+            else:
+                assert pickle_read(segmented(value), BOXES) is not None
+
+    def test_decoder_counts_levels_inside_a_segment(self):
+        from tests.pickles.boxes import BOXES, segmented
+
+        blob = segmented(self.boxed(20))
+        with pytest.raises(NestingTooDeep):
+            PickleReader(blob, BOXES, max_depth=20).read()
+        assert PickleReader(blob, BOXES, max_depth=30).read() is not None
+        plain = pickle_write(self.boxed(20), BOXES)
+        for limit in range(18, 30):
+            try:
+                PickleReader(plain, BOXES, max_depth=limit).read()
+            except NestingTooDeep:
+                with pytest.raises(NestingTooDeep):
+                    PickleReader(blob, BOXES, max_depth=limit).read()
+            else:
+                assert PickleReader(blob, BOXES, max_depth=limit).read() is not None
+
+    def test_hostile_nesting_through_segments(self):
+        """Segments inside records inside segments, past the limit: typed."""
+        from repro.pickles.wire import encode_varint
+        from tests.pickles.boxes import BOXES
+
+        body = b"\x00"
+        for level in range(1, MAX_DEPTH // 2 + 10):
+            # RECORD "B" {"items": [body]} (two levels deeper each time),
+            # wrapped in a segment header counting its entries and those
+            # of the segments inside it
+            record = bytes.fromhex("0c050142" "01" "05056974656d73" "0701") + body
+            head = bytearray(b"\x0e")
+            encode_varint(len(record), head)
+            encode_varint(4 * level, head)
+            body = bytes(head) + record
+        with pytest.raises(NestingTooDeep):
+            pickle_read(body, BOXES)

@@ -222,3 +222,24 @@ class TestGoldenDigests:
             previous_shape[key] = value
         digest = hashlib.sha256(pickle_write(previous_shape)).hexdigest()
         assert digest == PREVIOUS_ROOT_SHA256
+
+
+class TestGoldenSegment:
+    """Tag 0x0E: body length, entry count, a record with its own table."""
+
+    def test_segment_encoding_pinned(self):
+        from repro.pickles import pickle_write as plain
+        from tests.pickles.boxes import BOXES, Box, segmented
+
+        value = [Box(["a", "b"]), "a"]
+        blob = segmented(value)
+        # LIST 2; SEGMENT, 20 body bytes, 6 entries: RECORD "B", 1 field,
+        # "items", LIST 2 "a" "b"; then REF 5: the segment's "a" (entry 4
+        # of its own table) after the list's entry 0.
+        assert blob.hex() == "".join((
+            "0702", "0e1406", "0c050142", "01", "05056974656d73",
+            "0702", "050161", "050162", "0d05",
+        ))
+        copy = pickle_read(blob, BOXES)
+        assert copy[0].items == ["a", "b"] and copy[1] == "a"
+        assert plain(copy, BOXES) == plain(value, BOXES)

@@ -160,3 +160,63 @@ def isomorphic(a: object, b: object, seen: dict[int, int]) -> bool:
 @settings(max_examples=300, deadline=None)
 def test_roundtrip_preserves_sharing_and_cycles(nodes):
     assert isomorphic(nodes, pickle_read(pickle_write(nodes)), {})
+
+
+# -- segmented payloads (tag 0x0E) ---------------------------------------------
+
+
+@st.composite
+def boxed_values(draw):
+    """Values with ``Box`` records in them: segments, nested, and shared afterwards."""
+    from tests.pickles.boxes import Box
+
+    boxes = st.deferred(
+        lambda: st.builds(Box, st.lists(st.one_of(values, boxes), max_size=4))
+    )
+    items = draw(st.lists(st.one_of(values, boxes), min_size=1, max_size=5))
+    # what follows may repeat a box's strings and refer to its objects
+    again = [item for item in items if isinstance(item, Box)]
+    return items + again + [draw(st.text(max_size=3))]
+
+
+@given(boxed_values())
+@settings(max_examples=150, deadline=None)
+def test_segmented_pickle_decodes_to_what_the_plain_one_does(value):
+    """Same values, same sharing: both copies re-encode to the same bytes."""
+    from tests.pickles.boxes import BOXES, segmented
+
+    copy = pickle_read(segmented(value), BOXES)
+    plain_copy = pickle_read(pickle_write(value, BOXES), BOXES)
+    assert pickle_write(copy, BOXES) == pickle_write(plain_copy, BOXES)
+
+
+@given(boxed_values())
+@settings(max_examples=60, deadline=None)
+def test_segmented_prefixes_never_decode_cleanly(value):
+    from tests.pickles.boxes import BOXES, segmented
+
+    blob = segmented(value)
+    for cut in range(len(blob)):
+        try:
+            pickle_read(blob[:cut], BOXES)
+        except PickleError:
+            continue
+        raise AssertionError(f"prefix of length {cut} decoded cleanly")
+
+
+@given(boxed_values(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_cached_segments_give_the_bytes_of_fresh_ones(value, data):
+    """A second pass copies clean segments and re-encodes the dirty one."""
+    from repro.pickles import SegmentCache
+    from tests.pickles.boxes import BOXES, Box, segmented
+
+    cache = SegmentCache(BOXES)
+    assert cache.write(value) == segmented(value)
+    assert cache.write(value) == segmented(value)
+    boxes = [item for item in value if isinstance(item, Box)]
+    if boxes:
+        box = data.draw(st.sampled_from(boxes))
+        box.items.append(data.draw(atoms))
+        box.pickle_segment = None  # what a mutator of the record does
+        assert cache.write(value) == segmented(value)
