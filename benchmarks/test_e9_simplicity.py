@@ -324,6 +324,40 @@ def test_e9_one_metrics_endpoint(benchmark, report):
     )
 
 
+def test_e9_one_way_back_from_a_media_fault(benchmark, report):
+    """PAPER.md point 7, structurally: hard errors are repaired "by
+    restoring from another replica rather than by local redundancy", so
+    a degraded database writes no spare copy of itself, and the one
+    black-box dump taken on a node's behalf is the cluster supervisor's
+    before it kills a shard."""
+    cluster, tree = once(
+        benchmark,
+        lambda: (_read_tree(os.path.join(_SRC, "cluster")), _read_tree(_SRC)),
+    )
+    gone = (
+        "spare_fs",
+        "spare_directory",
+        "--spare-dir",
+        "emergency_snapshot",
+        "_emergency_preserve",
+        "db_emergency_checkpoints_total",
+        "holding_update_lock",
+    )
+    for name in gone:
+        assert name not in tree, f"src/repro still names {name}"
+    dumps = tree.count("def _dump_blackbox")
+    assert dumps == cluster.count("def _dump_blackbox") == 1, (
+        f"src/repro has def _dump_blackbox {dumps}x"
+    )
+    report(
+        "E9h one way back from a media fault",
+        [
+            "src/repro: " + ", ".join(gone) + " x0",
+            f"src/repro: def _dump_blackbox x{dumps}, in cluster/",
+        ],
+    )
+
+
 def test_e9_stub_generation_is_automatic(benchmark, report):
     """The paper's stubs were compiler-generated; ours are generated at
     run time — zero hand-written marshalling lines in the name server."""

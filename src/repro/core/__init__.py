@@ -13,7 +13,6 @@ from repro.core.checkpoint import (
 )
 from repro.core.backup import (
     backup_database,
-    emergency_snapshot,
     read_manifest,
     verify_backup,
 )
@@ -22,7 +21,6 @@ from repro.core.daemon import CheckpointDaemon, GroupCommitDaemon
 from repro.core.database import Database
 from repro.core.health import (
     DEGRADED_READ_ONLY,
-    FAILED,
     HEALTHY,
     RECOVERING,
     HealthMonitor,
@@ -87,7 +85,6 @@ __all__ = [
     "CommitPolicy",
     "DEGRADED_READ_ONLY",
     "DURABILITY_MODES",
-    "FAILED",
     "GroupCommitDaemon",
     "HEALTHY",
     "RECOVERING",
@@ -96,7 +93,6 @@ __all__ = [
     "archive_name",
     "archived_epochs",
     "backup_database",
-    "emergency_snapshot",
     "read_manifest",
     "verify_backup",
     "default_hash",

@@ -22,10 +22,10 @@ the log looked like at copy time, so verification also catches a backup
 whose log was *truncated after copying* — a clean-framing scan alone
 cannot distinguish that from a legitimately shorter log.
 
-:func:`emergency_snapshot` is the degraded-mode sibling: when the primary
-device starts refusing writes, the database preserves its in-memory state
-to a spare directory using the same three-file layout, so the state
-survives a subsequent process death even though the primary log is sealed.
+A backup is taken from a healthy database.  A node whose device fails
+under it keeps no local copy: it comes back from the sealed log on its
+own directory or from another replica
+(:class:`~repro.nameserver.recover.ReplicaRecoverer`).
 """
 
 from __future__ import annotations
@@ -148,25 +148,3 @@ def verify_backup(target: FileSystem) -> int:
                     f"was modified after it was taken)"
                 )
     return entries
-
-
-def emergency_snapshot(target: FileSystem, payload: bytes, version: int) -> None:
-    """Write a degraded-mode checkpoint of in-memory state to a spare.
-
-    The spare directory ends up a complete, recoverable database at
-    ``version`` with an empty log — exactly what :func:`~repro.core.\
-recovery.recover` expects — holding the pickled root ``payload``.  The
-    target is cleared first: the spare holds the latest emergency state,
-    nothing else.
-    """
-    from repro.core.checkpoint import write_checkpoint
-
-    for name in list(target.list_names()):
-        target.delete(name)
-    write_checkpoint(target, checkpoint_name(version), payload)
-    target.create(logfile_name(version))
-    target.fsync(logfile_name(version))
-    target.write(VERSION_FILE, str(version).encode("ascii"))
-    target.fsync(VERSION_FILE)
-    target.fsync_dir()
-

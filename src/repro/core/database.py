@@ -96,7 +96,6 @@ class Database:
         auto_open: bool = True,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
-        spare_fs: FileSystem | None = None,
         fault_retries: int = 2,
         flight: FlightRecorder | None = None,
     ) -> None:
@@ -130,19 +129,16 @@ class Database:
         updates executed under a traced RPC dispatch contribute child
         spans to the caller's trace.
 
-        ``spare_fs`` is an optional spare directory (on a *different*
-        device) that receives an emergency checkpoint of the in-memory
-        state when a persistent media fault degrades the database to
-        read-only; ``fault_retries`` bounds how many extra attempts a
-        faulted log append or fsync gets before degrading (a transient
-        device hiccup then costs a retry, not the server).
+        ``fault_retries`` bounds how many extra attempts a faulted log
+        append or fsync gets before a persistent media fault degrades the
+        database to read-only (a transient device hiccup then costs a
+        retry, not the server).
 
         ``flight`` is the always-on :class:`~repro.obs.flight.\
 FlightRecorder` black box; one on the database's clock is created when
         not supplied.  Commit fsyncs, storage faults, health transitions
-        and checkpoint switches all become ring events, and on
-        degradation the ring is dumped next to the emergency snapshot so
-        a postmortem can reconstruct the final moments.
+        and checkpoint switches all become ring events, so a postmortem
+        can reconstruct the final moments.
         """
         self.fs = fs
         self.initial = initial
@@ -175,7 +171,6 @@ FlightRecorder` black box; one on the database's clock is created when
 
         if fault_retries < 0:
             raise ValueError("fault_retries cannot be negative")
-        self.spare_fs = spare_fs
         self.fault_retries = fault_retries
 
         self.lock = SUELock()
@@ -312,7 +307,7 @@ FlightRecorder` black box; one on the database's clock is created when
                 self._commit.flush()
             except MediaError as exc:
                 self._open = False
-                self._degrade_now("fsync", exc, holding_update_lock=False)
+                self.health_monitor.degrade(f"fsync: {exc}")
                 raise DatabaseDegraded(
                     f"close could not flush staged commits: {exc}"
                 ) from exc
@@ -506,7 +501,7 @@ FlightRecorder` black box; one on the database's clock is created when
                 try:
                     self._commit.flush()
                 except MediaError as exc:
-                    self._degrade_now("fsync", exc, holding_update_lock=True)
+                    self.health_monitor.degrade(f"fsync: {exc}")
                     raise DatabaseDegraded(
                         f"checkpoint could not flush staged commits: {exc}"
                     ) from exc
@@ -634,7 +629,7 @@ FlightRecorder` black box; one on the database's clock is created when
             try:
                 self._commit.flush()
             except MediaError as exc:
-                self._degrade_now("fsync", exc, holding_update_lock=False)
+                self.health_monitor.degrade(f"fsync: {exc}")
                 raise DatabaseDegraded(
                     f"flush could not commit the staged tail: {exc}"
                 ) from exc
@@ -667,7 +662,7 @@ FlightRecorder` black box; one on the database's clock is created when
             except MediaError as exc:
                 self.health_monitor.note_fault("append", exc)
                 if self._log.tail_damaged or attempts >= self.fault_retries:
-                    self._degrade_now("append", exc, holding_update_lock=True)
+                    self.health_monitor.degrade(f"append: {exc}")
                     raise DatabaseDegraded(
                         f"updates refused: log append failed ({exc})"
                     ) from exc
@@ -684,7 +679,7 @@ FlightRecorder` black box; one on the database's clock is created when
             except MediaError as exc:
                 self.health_monitor.note_fault("fsync", exc)
                 if attempts >= self.fault_retries:
-                    self._degrade_now("fsync", exc, holding_update_lock=True)
+                    self.health_monitor.degrade(f"fsync: {exc}")
                     raise DatabaseDegraded(
                         f"updates refused: commit fsync failed ({exc})"
                     ) from exc
@@ -702,65 +697,10 @@ FlightRecorder` black box; one on the database's clock is created when
         try:
             return self._commit.wait_durable(ticket)
         except MediaError as exc:
-            self._degrade_now("fsync", exc, holding_update_lock=False)
+            self.health_monitor.degrade(f"fsync: {exc}")
             raise DatabaseDegraded(
                 f"updates refused: commit fsync failed ({exc})"
             ) from exc
-
-    def _degrade_now(
-        self, op: str, exc: BaseException, holding_update_lock: bool
-    ) -> None:
-        """Seal the log and enter DEGRADED_READ_ONLY (first caller only).
-
-        The log writer is abandoned where it stands, an emergency
-        checkpoint of the in-memory state is attempted to the spare
-        directory, and from here on updates are refused while enquiries
-        keep being served from virtual memory.  The flight ring is
-        dumped as a black box *after* the snapshot — the snapshot clears
-        the spare first — so the spare holds both the preserved state
-        and the story of how we got here.
-        """
-        if not self.health_monitor.degrade(f"{op}: {exc}"):
-            return
-        self._emergency_preserve(holding_update_lock)
-        self._dump_blackbox()
-
-    def _dump_blackbox(self) -> None:
-        """Best effort: persist the flight ring next to the snapshot.
-
-        The spare may itself be absent or failing — a dump failure must
-        never mask the degradation that triggered it.
-        """
-        if self.spare_fs is None:
-            return
-        try:
-            self.flight.dump_to(self.spare_fs)
-        except Exception:
-            pass
-
-    def _emergency_preserve(self, holding_update_lock: bool) -> None:
-        if self.spare_fs is None:
-            self.health_monitor.note_emergency("no_spare")
-            return
-        try:
-            if holding_update_lock:
-                self._write_emergency_snapshot()
-            else:
-                # The SUE lock is not reentrant; callers tell us whether
-                # they already hold the update side.
-                with self.lock.update():
-                    self._write_emergency_snapshot()
-        except Exception as exc:
-            self.health_monitor.note_emergency("failed")
-            self.health_monitor.fail(f"emergency checkpoint failed: {exc}")
-        else:
-            self.health_monitor.note_emergency("written")
-
-    def _write_emergency_snapshot(self) -> None:
-        from repro.core.backup import emergency_snapshot
-
-        payload = pickle_write(self._root, self.pickle_registry)
-        emergency_snapshot(self.spare_fs, payload, self._version)
 
     # -- introspection ------------------------------------------------------------
 
@@ -771,7 +711,7 @@ FlightRecorder` black box; one on the database's clock is created when
 
     @property
     def health(self) -> str:
-        """``"healthy"``, ``"degraded_read_only"`` or ``"failed"``."""
+        """``"healthy"``, ``"degraded_read_only"`` or ``"recovering"``."""
         return self.health_monitor.state
 
     def health_detail(self) -> dict[str, object]:

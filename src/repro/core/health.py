@@ -9,38 +9,32 @@ one-way state machine:
     number of times (a transient fault costs a retry, nothing else).
 
 ``DEGRADED_READ_ONLY``
-    A fault persisted: the log is sealed, an emergency checkpoint of the
-    in-memory state was attempted to a configured spare directory, and
-    updates are refused with :class:`~repro.core.errors.DatabaseDegraded`.
-    Enquiries keep being served from virtual memory — the paper's core
-    property that reads never need the disk.
-
-``FAILED``
-    Degradation itself failed (the emergency checkpoint could not be
-    written, so the spare holds nothing trustworthy).  Enquiries are still
-    served; everything else is refused.
+    A fault persisted: the log is sealed and updates are refused with
+    :class:`~repro.core.errors.DatabaseDegraded`.  Enquiries keep being
+    served from virtual memory — the paper's core property that reads
+    never need the disk.  No local copy is made: the way back is the
+    sealed log on the primary (fsck, repair, restart) or a replica.
 
 ``RECOVERING``
     The paper's way back: "restore the database from another replica".
-    A degraded (or failed) node under a
+    A degraded node under a
     :class:`~repro.nameserver.recover.ReplicaRecoverer` enters this state
     while a peer's checkpoint and log tail stream in; the single forward
     edge out of it is :meth:`recovered` (→ ``HEALTHY``), and a recovery
     that itself faults falls back via :meth:`recovery_failed`.
 
 The fault transitions are one-way (the process never un-degrades itself)
-and idempotent under concurrency: only the first caller performs the
-degrade work.  The only path back to ``HEALTHY`` is an explicit replica
+and idempotent under concurrency: only the first caller records the
+transition.  The only path back to ``HEALTHY`` is an explicit replica
 recovery — never a spontaneous retry.
 
 Metrics (in the database's registry):
 
-* ``db_health_state`` — gauge: 0 healthy, 1 degraded read-only, 2 failed;
+* ``db_health_state`` — gauge: 0 healthy, 1 degraded read-only,
+  3 recovering;
 * ``storage_faults_total{op}`` — every media fault seen, including retried
   ones;
-* ``db_degradations_total{reason}`` — transitions out of HEALTHY;
-* ``db_emergency_checkpoints_total{outcome}`` — spare-directory snapshot
-  attempts ("written" / "failed" / "no_spare").
+* ``db_degradations_total{reason}`` — transitions out of HEALTHY.
 
 Faulted operations are also annotated on the active trace span (a
 ``storage_fault`` event), so a trace of a degraded update shows exactly
@@ -48,9 +42,9 @@ which disk operation failed.
 
 Every observation and transition is additionally recorded as a
 first-class event on the database's :class:`~repro.obs.flight.\
-FlightRecorder` (``storage_fault``, ``health_transition``,
-``emergency_checkpoint``), so the black box dumped on degradation
-contains the full causal story, not just aggregated counters.
+FlightRecorder` (``storage_fault``, ``health_transition``), so the
+node's black box holds the full causal story, not just aggregated
+counters.
 """
 
 from __future__ import annotations
@@ -63,11 +57,10 @@ from repro.obs.tracing import current_span
 
 HEALTHY = "healthy"
 DEGRADED_READ_ONLY = "degraded_read_only"
-FAILED = "failed"
 RECOVERING = "recovering"
 
 #: numeric encoding used by the ``db_health_state`` gauge
-HEALTH_CODES = {HEALTHY: 0, DEGRADED_READ_ONLY: 1, FAILED: 2, RECOVERING: 3}
+HEALTH_CODES = {HEALTHY: 0, DEGRADED_READ_ONLY: 1, RECOVERING: 3}
 
 
 class HealthMonitor:
@@ -82,8 +75,7 @@ class HealthMonitor:
         self.flight = flight
         self._gauge = registry.gauge(
             "db_health_state",
-            "database health: 0 healthy, 1 degraded read-only, 2 failed, "
-            "3 recovering",
+            "database health: 0 healthy, 1 degraded read-only, 3 recovering",
         )
         self._faults = registry.counter(
             "storage_faults_total",
@@ -94,11 +86,6 @@ class HealthMonitor:
             "db_degradations_total",
             "transitions out of the HEALTHY state",
             labelnames=("reason",),
-        )
-        self._emergency = registry.counter(
-            "db_emergency_checkpoints_total",
-            "emergency checkpoint attempts to the spare directory",
-            labelnames=("outcome",),
         )
         self._gauge.set(HEALTH_CODES[HEALTHY])
 
@@ -118,18 +105,13 @@ class HealthMonitor:
         if span is not None:
             span.event("storage_fault", op=op, error=type(exc).__name__)
 
-    def note_emergency(self, outcome: str) -> None:
-        self._emergency.labels(outcome=outcome).inc()
-        if self.flight is not None:
-            self.flight.record("emergency_checkpoint", outcome=outcome)
-
     # -- transitions -----------------------------------------------------------
 
     def degrade(self, cause: str, reason: str = "media_fault") -> bool:
         """HEALTHY → DEGRADED_READ_ONLY; returns whether *this* call won.
 
-        Only the winner performs the degrade work (sealing the log,
-        emergency checkpoint); losers observe the state and refuse.
+        Only the winner records the transition; losers observe the state
+        and refuse.
         """
         with self._lock:
             if self.state != HEALTHY:
@@ -148,27 +130,10 @@ class HealthMonitor:
             )
         return True
 
-    def fail(self, cause: str) -> None:
-        """Any state → FAILED (degradation itself went wrong)."""
-        with self._lock:
-            if self.state == FAILED:
-                return
-            previous = self.state
-            self.state = FAILED
-            self.cause = cause
-        self._gauge.set(HEALTH_CODES[FAILED])
-        if self.flight is not None:
-            self.flight.record(
-                "health_transition",
-                from_state=previous,
-                to_state=FAILED,
-                cause=cause,
-            )
-
     # -- recovery --------------------------------------------------------------
 
     def begin_recovery(self, source: str) -> bool:
-        """DEGRADED_READ_ONLY | FAILED → RECOVERING; False if not eligible.
+        """DEGRADED_READ_ONLY → RECOVERING; False if not eligible.
 
         ``source`` names the peer (or mechanism) performing the repair;
         it lands in the flight record so the black box shows who healed
@@ -176,16 +141,15 @@ class HealthMonitor:
         silently discard its unpropagated local updates.
         """
         with self._lock:
-            if self.state not in (DEGRADED_READ_ONLY, FAILED):
+            if self.state != DEGRADED_READ_ONLY:
                 return False
-            previous = self.state
             self.state = RECOVERING
             self.cause = f"recovering from {source}"
         self._gauge.set(HEALTH_CODES[RECOVERING])
         if self.flight is not None:
             self.flight.record(
                 "health_transition",
-                from_state=previous,
+                from_state=DEGRADED_READ_ONLY,
                 to_state=RECOVERING,
                 cause=self.cause,
             )
@@ -213,7 +177,7 @@ class HealthMonitor:
 
         The node is no worse off than before the attempt — the staged
         files are invisible to restarts — so it returns to degraded
-        read-only rather than FAILED, and a later attempt may succeed.
+        read-only, and a later attempt may succeed.
         """
         with self._lock:
             if self.state != RECOVERING:

@@ -74,7 +74,7 @@ class ManagementService:
 
         ``state`` is ``"healthy"``, ``"degraded_read_only"`` (updates
         refused, enquiries still served; see the OPERATIONS runbook) or
-        ``"failed"``.
+        ``"recovering"`` (a replica repair is streaming in).
         """
         return self.server.db.health_detail()
 

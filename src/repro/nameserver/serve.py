@@ -56,9 +56,6 @@ class NodeOptions:
     metrics_port: int | None = None
     #: spans at least this long land in the slow-op log
     slow_op_threshold: float = 0.1
-    #: spare directory (ideally on a different device) that receives an
-    #: emergency checkpoint if the primary device degrades to read-only
-    spare_directory: str | None = None
     #: extra attempts a faulted log append/fsync gets before degrading
     fault_retries: int = 2
     #: opt-in continuous profiling: sampling period in seconds for the
@@ -109,11 +106,6 @@ class Node:
             self.profiler = SamplingProfiler(
                 interval_seconds=options.profile_interval
             ).start()
-        spare_fs = (
-            LocalFS(options.spare_directory)
-            if options.spare_directory is not None
-            else None
-        )
         # Kept for recovery: the recoverer rebuilds the replica on the
         # same filesystem with the same database options after cutover.
         self._fs = LocalFS(options.directory, registry=self.registry)
@@ -126,7 +118,6 @@ class Node:
         self._db_options = dict(
             registry=self.registry,
             tracer=self.tracer,
-            spare_fs=spare_fs,
             fault_retries=options.fault_retries,
             flight=self.flight,
             durability=options.durability,
@@ -392,20 +383,13 @@ class Node:
         return moved
 
     def dump_blackbox(self) -> str:
-        """Write the flight ring as a black box; returns its location.
+        """Write the flight ring into the data directory; returns its path.
 
-        Preferred target is the spare directory (next to any emergency
-        snapshot); without one the data directory itself receives the
-        dump.  Called on SIGTERM so an externally-killed node still
-        leaves its final moments behind for ``tools/postmortem.py``.
+        Called on SIGTERM so an externally-killed node still leaves its
+        final moments behind for ``tools/postmortem.py``.
         """
-        target = (
-            self.options.spare_directory
-            if self.options.spare_directory is not None
-            else self.options.directory
-        )
-        name = self.flight.dump_to(LocalFS(target))
-        return f"{target}/{name}"
+        name = self.flight.dump_to(LocalFS(self.options.directory))
+        return f"{self.options.directory}/{name}"
 
     def shutdown(self) -> None:
         self._stop.set()
@@ -488,11 +472,6 @@ def main(argv: list[str] | None = None) -> int:
         help="spans at least this many seconds land in the slow-op log",
     )
     parser.add_argument(
-        "--spare-dir", default=None, metavar="DIRECTORY",
-        help="spare directory (on a different device) for an emergency "
-        "checkpoint if the primary device degrades to read-only",
-    )
-    parser.add_argument(
         "--fault-retries", type=int, default=2,
         help="extra attempts a faulted log append/fsync gets before the "
         "database degrades",
@@ -547,7 +526,6 @@ def main(argv: list[str] | None = None) -> int:
             checkpoint_log_bytes=args.checkpoint_log_bytes,
             metrics_port=args.metrics_port,
             slow_op_threshold=args.slow_op_threshold,
-            spare_directory=args.spare_dir,
             fault_retries=args.fault_retries,
             profile_interval=args.profile_interval,
             auto_recover=args.auto_recover,

@@ -9,9 +9,11 @@ injections, checkpoint switches — cheap enough to leave on in
 production (one lock, one dict append, no I/O).
 
 When something goes wrong the ring is *dumped*: a versioned JSON
-document (``format: "repro-flight-v1"``) written next to the spare-dir
-emergency snapshot on degradation, or to the data directory on SIGTERM
-(see :mod:`repro.nameserver.serve`).  ``tools/postmortem.py``
+document (``format: "repro-flight-v1"``) written to the node's data
+directory on SIGTERM (see :mod:`repro.nameserver.serve`) or by the
+cluster supervisor before it kills a shard process.  A degraded node
+writes nothing to its failing device: its ring stays readable in memory
+over the ``flight_events`` management RPC.  ``tools/postmortem.py``
 reconstructs a merged timeline from the dump plus exported trace spans
 and the slow-op log.
 
@@ -38,7 +40,7 @@ from repro.sim.clock import Clock, WallClock
 #: the dump envelope's ``format`` tag; bump on incompatible change
 FLIGHT_FORMAT = "repro-flight-v1"
 
-#: default dump file name, written next to the emergency snapshot
+#: default dump file name, written into the node's data directory
 BLACKBOX_FILE = "blackbox.json"
 
 
@@ -144,10 +146,9 @@ class FlightRecorder:
         """Write the black box durably into a database directory.
 
         ``fs`` is any :class:`~repro.storage.interface.FileSystem` —
-        typically the spare directory, right after the emergency
-        snapshot landed there.  The write is fsynced so the dump
-        survives the power loss that usually follows the event being
-        recorded.  Returns the file name written.
+        typically the node's data directory.  The write is fsynced so
+        the dump survives the power loss that usually follows the event
+        being recorded.  Returns the file name written.
         """
         fs.write(name, self.dump_json().encode("utf-8"))
         fs.fsync(name)

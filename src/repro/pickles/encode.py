@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from operator import lt
 from sys import getrefcount
 
 from repro.pickles.errors import NestingTooDeep, UnpickleableType
@@ -283,11 +284,31 @@ class PickleWriter:
 
 
 def _stable_set_order(items: set | frozenset) -> list:
-    """Deterministic element order so equal sets pickle identically."""
+    """Deterministic element order so equal sets pickle identically.
+
+    The native order serves only when it is total: frozensets compare by
+    inclusion, so sorting them keeps whatever order hashing gave.  Any
+    other set sorts by its elements' type names and reprs.
+    """
     try:
-        return sorted(items)
+        ordered = sorted(items)
+        if all(map(lt, ordered, ordered[1:])):
+            return ordered
     except TypeError:
-        return sorted(items, key=lambda item: (type(item).__name__, repr(item)))
+        pass
+    return sorted(items, key=_canonical_key)
+
+
+def _canonical_key(item: object) -> tuple[str, str]:
+    """``(type name, repr)``, where no frozenset's repr follows hash order."""
+    kind = type(item)
+    if kind is frozenset:
+        text = ", ".join(key[1] for key in sorted(map(_canonical_key, item)))
+        return "frozenset", f"frozenset({{{text}}})" if item else "frozenset()"
+    if kind is tuple:
+        text = ", ".join(_canonical_key(element)[1] for element in item)
+        return "tuple", f"({text},)" if len(item) == 1 else f"({text})"
+    return kind.__name__, repr(item)
 
 
 def pickle_write(value: object, registry: TypeRegistry | None = None) -> bytes:

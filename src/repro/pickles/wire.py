@@ -29,24 +29,6 @@ TAG_REF = 0x0D
 #: a record written with its own swizzle table: body length, entry count, body
 TAG_SEGMENT = 0x0E
 
-TAG_NAMES = {
-    TAG_NONE: "none",
-    TAG_FALSE: "false",
-    TAG_TRUE: "true",
-    TAG_INT: "int",
-    TAG_FLOAT: "float",
-    TAG_STR: "str",
-    TAG_BYTES: "bytes",
-    TAG_LIST: "list",
-    TAG_TUPLE: "tuple",
-    TAG_SET: "set",
-    TAG_FROZENSET: "frozenset",
-    TAG_DICT: "dict",
-    TAG_RECORD: "record",
-    TAG_REF: "ref",
-    TAG_SEGMENT: "segment",
-}
-
 _FLOAT_STRUCT = struct.Struct(">d")
 
 

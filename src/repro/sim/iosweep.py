@@ -12,7 +12,7 @@ running — and model-checks the database's health state machine:
 2. for every event k in 1..N and every fault kind, run the workload from
    scratch over a :class:`~repro.storage.failures.FaultyFS` with the
    fault scheduled at event k, on a fresh
-   :class:`~repro.storage.simfs.SimFS` with a spare directory attached;
+   :class:`~repro.storage.simfs.SimFS`;
 3. model-check the outcome:
 
    * **transient** faults (the device errors once, then recovers) must
@@ -21,21 +21,20 @@ running — and model-checks the database's health state machine:
    * **persistent** faults (hard error or disk-full from event k
      onwards) must degrade the database to DEGRADED_READ_ONLY: further
      updates are refused with ``DatabaseDegraded``, enquiries are still
-     served from virtual memory, the in-memory state matches the model
-     for the acked prefix, and the emergency snapshot on the spare
-     recovers to exactly that state;
+     served from virtual memory, and the in-memory state matches the
+     model for the acked prefix;
    * in *every* run the machine is then halted, the primary directory is
      checked with fsck — repaired with
      :func:`~repro.tools.fsck.repair_directory` if not clean — and
      restarted: the recovered state must contain every acknowledged
-     update (no acked update is ever lost);
+     update (no acked update is ever lost).  The primary alone is the
+     way back; the database keeps no second local copy;
    * every degraded run must also leave a *black box*: the shared
      flight recorder (fed by the injector, the health monitor and the
-     commit pipeline) is dumped to the spare next to the emergency
-     snapshot, must survive the spare's crash, must contain the
-     injected fault, the degradation transition and the emergency-
-     checkpoint event, and must render through
-     :mod:`repro.tools.postmortem` without error.
+     commit pipeline), dumped from the live ring, must contain the
+     injected fault, the storage fault and the degradation transition,
+     and must render through :mod:`repro.tools.postmortem` without
+     error.
 
 A capacity-budget scenario (:func:`run_capacity`) covers the organic
 disk-full path as well: a :class:`SimFS` with a finite page budget fills
@@ -75,7 +74,7 @@ from repro.core import (
 from repro.nameserver.recover import ReplicaRecoverer
 from repro.nameserver.replication import Replica
 from repro.nameserver.tree import find_node, parse_path
-from repro.obs.flight import BLACKBOX_FILE, FlightRecorder, load_blackbox
+from repro.obs.flight import FlightRecorder, load_blackbox
 from repro.sim.clock import SimClock
 from repro.sim.sweep import Outcome, Sweep
 from repro.storage import FaultyFS, MediaFaultInjector, SimFS
@@ -112,7 +111,6 @@ REQUIRED_BLACKBOX_KINDS = (
     "fault_injected",
     "storage_fault",
     "health_transition",
-    "emergency_checkpoint",
 )
 
 
@@ -206,7 +204,6 @@ class IoFaultSweep(Sweep):
     ):
         clock = SimClock()
         prime = SimFS(clock=clock, capacity_pages=capacity_pages)
-        spare = SimFS(clock=clock)
         # One recorder shared by the injector and the database: the
         # injected fault and its consequences land in one timeline.
         flight = FlightRecorder(clock=clock)
@@ -217,13 +214,12 @@ class IoFaultSweep(Sweep):
             operations=sweep_operations(),
             clock=clock,
             durability=durability,
-            spare_fs=spare,
             fault_retries=self.fault_retries,
             flight=flight,
         )
         # The database opened cleanly; only *runtime* faults from here on.
         injector.arm()
-        return prime, spare, db
+        return prime, db
 
     def _drive(self, db: Database) -> tuple[int, bool]:
         """Run the script; returns (updates acked, hit DatabaseDegraded)."""
@@ -249,7 +245,7 @@ class IoFaultSweep(Sweep):
     def dry_run(self) -> dict[str, int]:
         """Total counted disk operations the script generates."""
         injector = MediaFaultInjector()
-        _prime, _spare, db = self._build(injector, self.durabilities[0])
+        _prime, db = self._build(injector, self.durabilities[0])
         self._drive(db)
         db.close()
         return {"io": injector.events_seen}
@@ -266,13 +262,13 @@ class IoFaultSweep(Sweep):
         injector = MediaFaultInjector(
             fault_at_event=outcome.fault_at, persistent=persistent, error=error
         )
-        prime, spare, db = self._build(injector, outcome.durability)
+        prime, db = self._build(injector, outcome.durability)
         outcome.acked, outcome.degraded = self._drive(db)
         outcome.completed = not outcome.degraded
         outcome.faults_injected = len(injector.injected)
         outcome.fired = outcome.faults_injected > 0
         allowed = self._allowed_states(outcome.acked)
-        failures = self._judge_live(outcome, db, spare, allowed)
+        failures = self._judge_live(outcome, db, allowed)
         injector.disarm()  # the device is replaced before the restart
         failures += self._judge_restart(outcome, prime, allowed)
         outcome.health = db.health
@@ -294,7 +290,6 @@ class IoFaultSweep(Sweep):
         self,
         outcome: IoFaultOutcome,
         db: Database,
-        spare: SimFS,
         allowed: list[dict],
     ) -> list[str]:
         failures: list[str] = []
@@ -335,51 +330,27 @@ class IoFaultSweep(Sweep):
             failures.append("degraded database accepted an update")
         except DatabaseDegraded:
             pass
-        # The emergency snapshot on the spare must be durable and must
-        # recover to exactly the in-memory state at degrade time.  The
-        # black box dumped next to it must survive the crash too.
-        spare.crash()
-        failures += self._judge_blackbox(outcome, db, spare)
-        try:
-            restored = Database(
-                spare, initial=dict, operations=sweep_operations()
-            )
-            recovered = restored.enquire(lambda root: dict(root))
-        except Exception as exc:  # noqa: BLE001
-            return failures + [f"emergency snapshot unrecoverable: {exc!r}"]
-        if recovered != memory:
-            failures.append(
-                f"emergency snapshot recovered {recovered!r}, in-memory "
-                f"state was {memory!r}"
-            )
-        return failures
+        return failures + self._judge_blackbox(outcome, db)
 
     def _judge_blackbox(
-        self, outcome: IoFaultOutcome, db: Database, spare: SimFS
+        self, outcome: IoFaultOutcome, db: Database
     ) -> list[str]:
-        """A degraded run must leave a renderable, causal black box."""
+        """A degraded run must leave a renderable, causal black box.
+
+        The dump is taken from the live ring, as the ``flight_events``
+        management RPC serves it: a degraded node writes nothing to its
+        failing device.
+        """
         failures: list[str] = []
-        required = [
-            kind for kind in REQUIRED_BLACKBOX_KINDS
-            if outcome.faults_injected or kind != "fault_injected"
-        ]
-        live_kinds = set(db.flight.kinds())
-        for kind in required:
-            if kind not in live_kinds:
-                failures.append(
-                    f"flight recorder has no {kind!r} event after a "
-                    f"persistent fault (kinds: {sorted(live_kinds)})"
-                )
         try:
-            dump = load_blackbox(spare.read(BLACKBOX_FILE))
+            dump = load_blackbox(db.flight.dump_json())
         except Exception as exc:  # noqa: BLE001
-            return failures + [
-                f"black box missing or invalid on the crashed spare: "
-                f"{exc!r}"
-            ]
+            return [f"black box dump invalid: {exc!r}"]
         kinds = {event.get("kind") for event in dump["events"]}
-        for kind in required:
-            if kind not in kinds:
+        for kind in REQUIRED_BLACKBOX_KINDS:
+            if kind not in kinds and (
+                outcome.faults_injected or kind != "fault_injected"
+            ):
                 failures.append(
                     f"dumped black box lacks the {kind!r} event "
                     f"(kinds: {sorted(kinds)})"
@@ -450,14 +421,14 @@ def run_capacity(
 
     Drives puts into a :class:`SimFS` with ``capacity_pages`` until the
     allocator refuses, then judges the run exactly as the sweep judges an
-    injected disk-full fault: degraded read-only, enquiries served, spare
-    snapshot and black box recoverable, repaired directory restarts with
-    no acked update lost.  Returns a list of invariant violations (empty
+    injected disk-full fault: degraded read-only, enquiries served, black
+    box renderable, repaired directory restarts with no acked update
+    lost.  Returns a list of invariant violations (empty
     = clean).
     """
     steps = [("put", f"k{i}", "x" * value_bytes) for i in range(200)]
     sweep = IoFaultSweep(steps, fault_retries=1)
-    prime, spare, db = sweep._build(
+    prime, db = sweep._build(
         MediaFaultInjector(), durability, capacity_pages
     )
     outcome = IoFaultOutcome(0, "disk_full", "capacity", durability=durability)
@@ -468,7 +439,7 @@ def run_capacity(
             f"updates"
         ]
     allowed = sweep._allowed_states(outcome.acked)
-    return sweep._judge_live(outcome, db, spare, allowed) + (
+    return sweep._judge_live(outcome, db, allowed) + (
         sweep._judge_restart(outcome, prime, allowed)
     )
 

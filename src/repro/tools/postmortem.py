@@ -1,15 +1,17 @@
 """Postmortem: reconstruct a merged timeline from black-box dumps.
 
-When a node degrades (or is SIGTERMed) it leaves a flight-recorder dump
-— ``blackbox.json`` next to the spare-dir emergency snapshot, or in the
-data directory (see :mod:`repro.nameserver.serve`).  This tool renders
+A SIGTERMed node leaves a flight-recorder dump, ``blackbox.json``, in
+its data directory (see :mod:`repro.nameserver.serve`); the cluster
+supervisor writes the same file before it kills a shard.  A degraded
+node keeps its ring in memory, served by the ``flight_events``
+management RPC that the ``--cluster`` mode reads.  This tool renders
 that dump as a human-readable timeline, and can *merge* it with the two
 other memories a node exports: trace spans (``/trace.json`` or the
 ``trace_spans`` management RPC, saved to a file) and the slow-op log
 (``/slowops.json``).  All three carry times from the same node clock,
 so sorting their entries together reconstructs the causal story::
 
-    python -m repro.tools.postmortem /spare/blackbox.json \
+    python -m repro.tools.postmortem /var/lib/ns/blackbox.json \
         --trace trace.json --slowops slowops.json
 
 The *cluster* mode builds one merged incident timeline for a whole
@@ -46,7 +48,6 @@ NOTEWORTHY_KINDS = (
     "fault_injected",
     "storage_fault",
     "health_transition",
-    "emergency_checkpoint",
     "checkpoint_aborted",
     "log_tail_damaged",
     "commit_barrier_poisoned",

@@ -1,10 +1,10 @@
-"""The runtime health state machine: retry, degrade, preserve, refuse.
+"""The runtime health state machine: retry, degrade, refuse, restart.
 
 A live server hit by a media fault must not crash and must not lie: a
-transient fault costs a retry, a persistent one seals the log, snapshots
-the in-memory state to the spare directory and degrades to read-only —
-still answering enquiries from virtual memory, refusing updates with a
-typed error.
+transient fault costs a retry, a persistent one seals the log and
+degrades to read-only — still answering enquiries from virtual memory,
+refusing updates with a typed error.  The sealed primary, checked and
+repaired once the device is replaced, restarts with what was served.
 """
 
 from __future__ import annotations
@@ -13,9 +13,10 @@ import pytest
 
 from repro.core import Database
 from repro.core.errors import CheckpointFailed, DatabaseDegraded
-from repro.core.health import DEGRADED_READ_ONLY, FAILED, HEALTHY, RECOVERING
+from repro.core.health import DEGRADED_READ_ONLY, HEALTHY, RECOVERING
 from repro.storage import FaultyFS, MediaFaultInjector, SimFS
 from repro.storage.failures import WRITE_OPS
+from repro.tools.fsck import fsck_directory, repair_directory
 
 FSYNC_ONLY = frozenset({"fsync"})
 
@@ -29,19 +30,17 @@ def harness(clock, kv_ops):
     like a device going bad under a live server.
     """
 
-    def build(spare=True, durability="immediate", fault_retries=1):
+    def build(durability="immediate", fault_retries=1):
         injector = MediaFaultInjector()
         prime = SimFS(clock=clock)
-        spare_fs = SimFS(clock=clock) if spare else None
         db = Database(
             FaultyFS(prime, injector),
             operations=kv_ops,
             durability=durability,
-            spare_fs=spare_fs,
             fault_retries=fault_retries,
         )
         injector.arm()
-        return db, injector, prime, spare_fs
+        return db, injector, prime
 
     return build
 
@@ -55,7 +54,7 @@ def _schedule(injector, *, persistent, ops=FSYNC_ONLY):
 
 class TestTransientFaults:
     def test_transient_fault_costs_a_retry_not_the_server(self, harness):
-        db, injector, _, _ = harness()
+        db, injector, _ = harness()
         _schedule(injector, persistent=False)
         assert db.update("set", "a", 1) is None
         assert db.health == HEALTHY
@@ -64,7 +63,7 @@ class TestTransientFaults:
         assert db.enquire(lambda root: root["a"]) == 2
 
     def test_faults_are_counted_even_when_retried(self, harness):
-        db, injector, _, _ = harness()
+        db, injector, _ = harness()
         _schedule(injector, persistent=False)
         db.update("set", "a", 1)
         faults = db.registry.get("storage_faults_total")
@@ -72,7 +71,7 @@ class TestTransientFaults:
 
     def test_retries_are_bounded(self, harness):
         """With zero retries even a transient fault degrades."""
-        db, injector, _, _ = harness(fault_retries=0)
+        db, injector, _ = harness(fault_retries=0)
         _schedule(injector, persistent=False)
         with pytest.raises(DatabaseDegraded):
             db.update("set", "a", 1)
@@ -81,7 +80,7 @@ class TestTransientFaults:
 
 class TestDegradedReadOnly:
     def test_persistent_fault_degrades(self, harness):
-        db, injector, _, _ = harness()
+        db, injector, _ = harness()
         db.update("set", "a", 1)
         _schedule(injector, persistent=True)
         with pytest.raises(DatabaseDegraded):
@@ -92,7 +91,7 @@ class TestDegradedReadOnly:
         assert "fsync" in detail["cause"]
 
     def test_degraded_serves_enquiries_refuses_updates(self, harness):
-        db, injector, _, _ = harness()
+        db, injector, _ = harness()
         db.update("set", "a", 1)
         _schedule(injector, persistent=True)
         with pytest.raises(DatabaseDegraded):
@@ -107,7 +106,7 @@ class TestDegradedReadOnly:
             db.checkpoint()
 
     def test_degrade_happens_once(self, harness):
-        db, injector, _, _ = harness()
+        db, injector, _ = harness()
         _schedule(injector, persistent=True)
         for _ in range(3):
             with pytest.raises(DatabaseDegraded):
@@ -116,7 +115,7 @@ class TestDegradedReadOnly:
         assert degradations.labels("media_fault").value == 1.0
 
     def test_health_gauge_tracks_the_state(self, harness):
-        db, injector, _, _ = harness()
+        db, injector, _ = harness()
         assert db.registry.get("db_health_state").value == 0.0
         _schedule(injector, persistent=True)
         with pytest.raises(DatabaseDegraded):
@@ -124,7 +123,7 @@ class TestDegradedReadOnly:
         assert db.registry.get("db_health_state").value == 1.0
 
     def test_group_mode_degrades_too(self, harness):
-        db, injector, _, _ = harness(durability="group")
+        db, injector, _ = harness(durability="group")
         db.update("set", "a", 1)
         _schedule(injector, persistent=True)
         with pytest.raises(DatabaseDegraded):
@@ -133,7 +132,7 @@ class TestDegradedReadOnly:
         assert db.enquire(lambda root: root["a"]) == 1
 
     def test_degraded_database_still_closes(self, harness):
-        db, injector, _, _ = harness()
+        db, injector, _ = harness()
         db.update("set", "a", 1)
         _schedule(injector, persistent=True)
         with pytest.raises(DatabaseDegraded):
@@ -142,59 +141,40 @@ class TestDegradedReadOnly:
 
 
 class TestEmergencySnapshot:
-    def test_snapshot_lands_durably_on_the_spare(self, harness, kv_ops):
-        db, injector, _, spare = harness()
-        db.update("set", "a", 1)
-        db.update("incr", "a", 41)
-        _schedule(injector, persistent=True)
-        with pytest.raises(DatabaseDegraded):
-            db.update("set", "b", 2)
-        outcomes = db.registry.get("db_emergency_checkpoints_total")
-        assert outcomes.labels("written").value == 1.0
-        # Durable: survives a crash of the spare device, and recovers to
-        # exactly the state the degraded server is still serving.
-        spare.crash()
-        rescued = Database(spare, operations=kv_ops)
-        assert rescued.enquire(dict) == db.enquire(dict) == {"a": 42}
+    """No emergency snapshot: the sealed primary is the only local copy."""
 
     def test_no_spare_still_degrades_cleanly(self, harness):
-        db, injector, _, _ = harness(spare=False)
+        db, injector, _ = harness()
         db.update("set", "a", 1)
         _schedule(injector, persistent=True)
         with pytest.raises(DatabaseDegraded):
             db.update("set", "b", 2)
         assert db.health == DEGRADED_READ_ONLY
-        outcomes = db.registry.get("db_emergency_checkpoints_total")
-        assert outcomes.labels("no_spare").value == 1.0
 
-    def test_broken_spare_means_failed(self, clock, kv_ops):
-        injector = MediaFaultInjector()
-        spare_injector = MediaFaultInjector(
-            fault_at_event=1, persistent=True, ops=WRITE_OPS
-        )
-        spare_injector.arm()
-        spare = FaultyFS(SimFS(clock=clock), spare_injector)
-        db = Database(
-            FaultyFS(SimFS(clock=clock), injector),
-            operations=kv_ops,
-            durability="immediate",
-            spare_fs=spare,
-            fault_retries=0,
-        )
-        injector.arm()
+    def test_repaired_primary_restarts_with_what_was_served(
+        self, harness, kv_ops
+    ):
+        db, injector, prime = harness()
+        db.update("set", "a", 1)
+        db.update("incr", "a", 41)
         _schedule(injector, persistent=True)
         with pytest.raises(DatabaseDegraded):
-            db.update("set", "a", 1)
-        assert db.health == FAILED
-        outcomes = db.registry.get("db_emergency_checkpoints_total")
-        assert outcomes.labels("failed").value == 1.0
-        # Even FAILED keeps serving enquiries.
-        assert db.enquire(dict) == {}
+            db.update("set", "b", 2)
+        served = db.enquire(dict)
+        # The machine halts and the device is replaced; fsck repairs
+        # whatever the fault left and the primary opens on its own.
+        prime.crash()
+        injector.disarm()
+        if fsck_directory(prime).exit_status() != 0:
+            repair_directory(prime)
+        assert fsck_directory(prime).exit_status() == 0
+        reopened = Database(prime, operations=kv_ops)
+        assert reopened.enquire(dict) == served == {"a": 42}
 
 
 class TestCheckpointFaults:
     def test_fault_before_commit_point_aborts_cleanly(self, harness):
-        db, injector, prime, _ = harness()
+        db, injector, prime = harness()
         db.update("set", "a", 1)
         version_before = db.version
         _schedule(injector, persistent=False, ops=WRITE_OPS)
@@ -209,7 +189,7 @@ class TestCheckpointFaults:
         db.update("set", "b", 2)
 
     def test_aborted_checkpoint_retries_and_succeeds(self, harness):
-        db, injector, _, _ = harness()
+        db, injector, _ = harness()
         db.update("set", "a", 1)
         version_before = db.version
         _schedule(injector, persistent=False, ops=WRITE_OPS)
@@ -222,7 +202,7 @@ class TestCheckpointFaults:
     def test_maybe_checkpoint_retries_pending_even_if_policy_is_quiet(
         self, harness
     ):
-        db, injector, _, _ = harness()
+        db, injector, _ = harness()
         db.update("set", "a", 1)
         _schedule(injector, persistent=False, ops=WRITE_OPS)
         with pytest.raises(CheckpointFailed):
@@ -232,7 +212,7 @@ class TestCheckpointFaults:
         assert db.health_detail()["checkpoint_retry_pending"] is False
 
     def test_maybe_checkpoint_noop_once_degraded(self, harness):
-        db, injector, _, _ = harness()
+        db, injector, _ = harness()
         db.update("set", "a", 1)
         _schedule(injector, persistent=True)
         with pytest.raises(DatabaseDegraded):
@@ -240,7 +220,7 @@ class TestCheckpointFaults:
         assert db.maybe_checkpoint() is False
 
     def test_checkpoint_failures_are_counted(self, harness):
-        db, injector, _, _ = harness()
+        db, injector, _ = harness()
         db.update("set", "a", 1)
         _schedule(injector, persistent=False, ops=WRITE_OPS)
         with pytest.raises(CheckpointFailed):
@@ -249,10 +229,10 @@ class TestCheckpointFaults:
 
 
 class TestRecoveringEdges:
-    """The replica-repair edges: DEGRADED|FAILED -> RECOVERING -> HEALTHY."""
+    """The replica-repair edges: DEGRADED -> RECOVERING -> HEALTHY."""
 
     def test_degraded_node_can_begin_recovery(self, harness):
-        db, injector, _, _ = harness()
+        db, injector, _ = harness()
         _schedule(injector, persistent=True)
         with pytest.raises(DatabaseDegraded):
             db.update("set", "a", 1)
@@ -262,12 +242,12 @@ class TestRecoveringEdges:
         assert "peer-b" in monitor.cause
 
     def test_healthy_node_refuses_recovery(self, harness):
-        db, _, _, _ = harness()
+        db, _, _ = harness()
         assert db.health_monitor.begin_recovery(source="peer-b") is False
         assert db.health_monitor.state == HEALTHY
 
     def test_recovered_returns_to_healthy(self, harness):
-        db, injector, _, _ = harness()
+        db, injector, _ = harness()
         _schedule(injector, persistent=True)
         with pytest.raises(DatabaseDegraded):
             db.update("set", "a", 1)
@@ -278,12 +258,12 @@ class TestRecoveringEdges:
         assert monitor.cause is None
 
     def test_recovered_is_only_valid_from_recovering(self, harness):
-        db, _, _, _ = harness()
+        db, _, _ = harness()
         assert db.health_monitor.recovered() is False
         assert db.health_monitor.state == HEALTHY
 
     def test_failed_repair_falls_back_to_degraded(self, harness):
-        db, injector, _, _ = harness()
+        db, injector, _ = harness()
         _schedule(injector, persistent=True)
         with pytest.raises(DatabaseDegraded):
             db.update("set", "a", 1)
@@ -296,7 +276,7 @@ class TestRecoveringEdges:
         assert monitor.begin_recovery(source="peer-c") is True
 
     def test_gauge_tracks_the_recovery_round_trip(self, harness):
-        db, injector, _, _ = harness()
+        db, injector, _ = harness()
         gauge = db.registry.get("db_health_state")
         _schedule(injector, persistent=True)
         with pytest.raises(DatabaseDegraded):

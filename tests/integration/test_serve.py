@@ -8,7 +8,13 @@ import pytest
 
 from repro.nameserver import RemoteNameServer, RemoteManagement
 from repro.nameserver.serve import Node, NodeOptions, build_node
+from repro.obs.flight import BLACKBOX_FILE, load_blackbox
 from repro.rpc import TcpTransport
+from repro.tools.postmortem import (
+    build_cluster_timeline,
+    gather_cluster_dir,
+    render_cluster_timeline,
+)
 
 
 def data_client(node: Node) -> RemoteNameServer:
@@ -48,6 +54,25 @@ class TestSingleNode:
             ):
                 time.sleep(0.02)
             assert node.replica.db.stats.checkpoints >= 1
+
+
+class TestBlackBox:
+    def test_dump_lands_in_the_data_directory(self, tmp_path):
+        directory = tmp_path / "data" / "r0"
+        with build_node(NodeOptions(str(directory), replica_id="r0")) as node:
+            data_client(node).bind("svc/db", 1)
+            node.replica.checkpoint()
+            path = node.dump_blackbox()
+        assert path == f"{directory}/{BLACKBOX_FILE}"
+        with open(path, "rb") as f:
+            dump = load_blackbox(f.read())
+        kinds = {e["kind"] for e in dump["events"]}
+        assert {"commit_fsync", "checkpoint_switch"} <= kinds
+        # The cluster postmortem finds it where a cluster keeps its data.
+        gathered = gather_cluster_dir(str(tmp_path))
+        assert gathered["nodes"]["r0"]["dump"] == dump
+        rendered = render_cluster_timeline(build_cluster_timeline(gathered))
+        assert "checkpoint_switch" in rendered
 
 
 class TestReplicatedNodes:

@@ -14,8 +14,13 @@ deterministic repair path is then checked to converge real replicas.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.nameserver import Replica, diverged_leaf_paths, repair_divergence
 from repro.nameserver.tree import (
     Leaf,
@@ -152,6 +157,32 @@ def test_one_sided_subtree_is_reported_whole(binding_map, extra_path):
 
 
 # -- the deterministic repair converges real replicas --------------------------
+
+
+def test_leaf_digest_does_not_depend_on_the_hash_seed():
+    """Replicas derive the same digest for the same leaf whatever their
+    interpreter's string-hash seed: sets of frozensets included, which
+    seeds 0 and 2 iterate in different orders."""
+    program = (
+        "from repro.nameserver.tree import Leaf, leaf_digest\n"
+        "values = (\n"
+        "    {frozenset({'alpha', 'beta', 'gamma'}),"
+        " frozenset({'delta', 'eps'}), None},\n"
+        "    {frozenset({'alpha', 'beta'}), frozenset({'gamma'}),"
+        " frozenset({'delta', 'eps'})},\n"
+        ")\n"
+        "print(*(leaf_digest(Leaf(v, 1, 'r')).hex() for v in values))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    digests = {
+        subprocess.run(
+            [sys.executable, "-c", program],
+            capture_output=True, text=True, check=True,
+            env={"PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("0", "2")
+    }
+    assert len(digests) == 1
 
 
 def make_pair() -> tuple[Replica, Replica]:

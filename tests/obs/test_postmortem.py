@@ -114,3 +114,35 @@ class TestCli:
         bad.write_text("{not json")
         assert main([path, "--trace", str(bad)]) == 2
         assert "sidecar" in capsys.readouterr().err
+
+
+class TestOlderDumps:
+    def test_emergency_checkpoint_dump_still_renders(self, tmp_path, capsys):
+        """A dump from a node that still snapshotted to a spare directory
+        holds ``emergency_checkpoint`` events and a transition to
+        ``failed``; both render, as routine history."""
+        clock = SimClock()
+        flight = FlightRecorder(clock=clock)
+        flight.record("storage_fault", op="fsync", error="HardError")
+        flight.record(
+            "health_transition", from_state="healthy",
+            to_state="degraded_read_only", cause="fsync: hard error",
+        )
+        clock.advance(1.0)
+        flight.record("emergency_checkpoint", outcome="failed")
+        flight.record(
+            "health_transition", from_state="degraded_read_only",
+            to_state="failed", cause="emergency checkpoint failed",
+        )
+        box = tmp_path / "data" / "r1" / "blackbox.json"
+        box.parent.mkdir(parents=True)
+        box.write_text(flight.dump_json())
+        lines = summarize(json.loads(box.read_text()))
+        routine = next(line for line in lines if "routine" in line)
+        assert "emergency_checkpoint×1" in routine
+        assert main([str(box)]) == 0
+        out = capsys.readouterr().out
+        assert "outcome='failed'" in out
+        assert "to_state='failed'" in out
+        assert main(["--cluster-dir", str(tmp_path)]) == 0
+        assert "emergency_checkpoint" in capsys.readouterr().out

@@ -89,6 +89,19 @@ def test_encoding_is_deterministic(value):
     assert pickle_write(value) == pickle_write(value)
 
 
+@given(
+    st.sets(
+        st.one_of(hashable_values, st.frozensets(hashable_values, max_size=4)),
+        max_size=5,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_decoded_sets_reencode_to_the_same_bytes(value):
+    """A decoded set iterates in its own hash order; the bytes must not."""
+    blob = pickle_write(value)
+    assert pickle_write(pickle_read(blob)) == blob
+
+
 @given(st.integers())
 @settings(max_examples=200, deadline=None)
 def test_integers_of_any_magnitude(value):

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.sim import IoFaultSweep
+from repro.sim import IoFaultSweep, iosweep
 from repro.sim.iosweep import (
     DEFAULT_STEPS,
     ReplicaRepairSweep,
@@ -99,6 +99,20 @@ class TestSweepCatchesViolations:
             kinds=("transient",), fault_retries=0
         ).run(max_events=3)
         with pytest.raises(AssertionError, match="single transient fault left"):
+            result.assert_clean()
+
+    def test_black_box_judged_on_the_live_ring(self, monkeypatch):
+        """A kind the ring never records fails every degraded run."""
+        monkeypatch.setattr(
+            iosweep,
+            "REQUIRED_BLACKBOX_KINDS",
+            iosweep.REQUIRED_BLACKBOX_KINDS + ("emergency_checkpoint",),
+        )
+        result = IoFaultSweep(
+            kinds=("persistent",), durabilities=("immediate",)
+        ).run(max_events=2)
+        assert len(result.failures) == result.runs
+        with pytest.raises(AssertionError, match="'emergency_checkpoint'"):
             result.assert_clean()
 
 
